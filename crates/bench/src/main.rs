@@ -1,7 +1,7 @@
 //! `cargo run -p bench` — the deterministic perf-regression gate.
 //!
-//! Compiles the full 8×4 evaluation matrix (through the shared frontend
-//! cache, serially and with 4 workers) and writes `BENCH_compile.json` at
+//! Compiles the full 8×4 evaluation matrix (through one shared pipeline
+//! cache per run, serially and with 4 workers) and writes `BENCH_compile.json` at
 //! the workspace root with two sections:
 //!
 //! * `deterministic` — work counters that are a pure function of the
@@ -28,7 +28,7 @@
 //! ±[`WALL_TOLERANCE`] only warns — timings are not gate-worthy.
 
 use longnail::driver::{eval_datasheets, MatrixResult};
-use longnail::{isax_lib, Longnail, PipelineCache};
+use longnail::{isax_lib, Longnail, MatrixCell, PipelineCache};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -53,12 +53,7 @@ fn stage_mix(m: &MatrixResult) -> String {
     telemetry::STAGES
         .iter()
         .map(|s| {
-            let d = m
-                .stage_stats
-                .iter()
-                .find(|x| x.stage == *s)
-                .cloned()
-                .unwrap_or_default();
+            let d = m.stage(s);
             format!("\"{s}\": \"{}m/{}h\"", d.misses, d.hits)
         })
         .collect::<Vec<_>>()
@@ -91,27 +86,28 @@ fn assert_artifacts_identical(cold: &MatrixResult, warm: &MatrixResult, what: &s
 fn bench_json() -> String {
     let isaxes = isax_lib::all_isaxes();
     let cores = eval_datasheets();
+    let cells = MatrixCell::grid(&isaxes, &cores);
     let ln = Longnail::new();
     let t0 = Instant::now();
-    let serial = ln.compile_matrix(&isaxes, &cores, 1);
+    let serial = ln.compile_cells(&cells, 1, &PipelineCache::new());
     let serial_ns = elapsed_ns(t0);
     let t0 = Instant::now();
-    let parallel = ln.compile_matrix(&isaxes, &cores, 4);
+    let parallel = ln.compile_cells(&cells, 4, &PipelineCache::new());
     let parallel_ns = elapsed_ns(t0);
     // The cache totals are part of the determinism contract: identical
     // for every worker count.
-    assert_eq!(serial.cache_hits, parallel.cache_hits);
-    assert_eq!(serial.cache_misses, parallel.cache_misses);
+    let (frontend, fe4) = (serial.stage("frontend"), parallel.stage("frontend"));
+    assert_eq!((frontend.hits, frontend.misses), (fe4.hits, fe4.misses));
 
     // Incremental profile: cold, warm no-change, warm one-edit — all
     // through one shared pipeline cache, the way `lnc serve` and warm
     // matrix recompiles run.
     let pipe = PipelineCache::new();
     let t0 = Instant::now();
-    let cold = ln.compile_matrix_cached(&isaxes, &cores, 4, &pipe);
+    let cold = ln.compile_cells(&cells, 4, &pipe);
     let cold_ns = elapsed_ns(t0);
     let t0 = Instant::now();
-    let warm = ln.compile_matrix_cached(&isaxes, &cores, 4, &pipe);
+    let warm = ln.compile_cells(&cells, 4, &pipe);
     let warm_ns = elapsed_ns(t0);
     let warm_misses: u64 = warm.stage_stats.iter().map(|s| s.misses).sum();
     assert_eq!(warm_misses, 0, "warm no-change recompile must be pure replay");
@@ -121,15 +117,13 @@ fn bench_json() -> String {
     let mut edited = isaxes.clone();
     edited[0].2.push_str("\n// incremental bench edit\n");
     let t0 = Instant::now();
-    let edit = ln.compile_matrix_cached(&edited, &cores, 4, &pipe);
+    let edit = ln.compile_cells(&MatrixCell::grid(&edited, &cores), 4, &pipe);
     let edit_ns = elapsed_ns(t0);
-    let edit_fe = edit
-        .stage_stats
-        .iter()
-        .find(|s| s.stage == "frontend")
-        .cloned()
-        .unwrap_or_default();
-    assert_eq!(edit_fe.misses, 1, "one edited source, one frontend recompute");
+    assert_eq!(
+        edit.stage("frontend").misses,
+        1,
+        "one edited source, one frontend recompute"
+    );
     assert_artifacts_identical(&cold, &edit, "warm one-edit");
 
     // Optimized matrix: the same 8×4 matrix at -O2 through the netlist
@@ -140,9 +134,9 @@ fn bench_json() -> String {
     // block. The strict area win is also asserted outright: -O2 exists to
     // shrink the matrix, and a build where it stops doing so is a
     // regression even if every counter still matches some stale baseline.
-    let o2 = ln
-        .with_opt_level(longnail::OptLevel::O2)
-        .compile_matrix(&isaxes, &cores, 4);
+    let o2 =
+        ln.with_opt_level(longnail::OptLevel::O2)
+            .compile_cells(&cells, 4, &PipelineCache::new());
     let lib = eda::TechLibrary::new();
     let estimate = |m: &MatrixResult| {
         let (mut area, mut crit) = (0.0f64, 0.0f64);
@@ -186,8 +180,8 @@ fn bench_json() -> String {
     let mut json = String::from("{\n  \"schema\": \"longnail-bench/2\",\n");
     json.push_str("  \"deterministic\": {\n");
     let _ = writeln!(json, "    \"cells\": {},", serial.entries.len());
-    let _ = writeln!(json, "    \"cache_hits\": {},", serial.cache_hits);
-    let _ = writeln!(json, "    \"cache_misses\": {},", serial.cache_misses);
+    let _ = writeln!(json, "    \"cache_hits\": {},", frontend.hits);
+    let _ = writeln!(json, "    \"cache_misses\": {},", frontend.misses);
     let _ = writeln!(json, "    \"cell_faults\": {},", serial.cell_faults);
     let _ = writeln!(json, "    \"errors_recovered\": {},", serial.errors_recovered);
     json.push_str("    \"counters\": {\n");

@@ -1,7 +1,7 @@
 //! Host-core models: the four open-source embedded RISC-V cores of the
 //! evaluation (paper §5.2) with SCAIE-V ISAX integration.
 //!
-//! * [`descriptor`] — microarchitectural descriptors: pipeline shape
+//! * [`descriptor`](mod@descriptor) — microarchitectural descriptors: pipeline shape
 //!   (5-stage ORCA/VexRiscv, 3-stage Piccolo, FSM-sequenced PicoRV32) and
 //!   the timing parameters of the cycle model,
 //! * [`exec`] — the [`exec::ExtendedCore`]: executes RV32I programs with

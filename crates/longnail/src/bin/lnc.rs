@@ -145,6 +145,9 @@ struct Args {
     cache_mem_bytes: Option<u64>,
 }
 
+/// The representations `--emit` can print.
+const EMIT_KINDS: [&str; 5] = ["hir", "lil", "sv", "config", "datasheet"];
+
 fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut input = None;
     let mut core = None;
@@ -173,7 +176,16 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--core" => core = Some(args.next().ok_or("--core needs a value")?),
             "--unit" => unit = Some(args.next().ok_or("--unit needs a value")?),
             "--out" => out = PathBuf::from(args.next().ok_or("--out needs a value")?),
-            "--emit" => emit = Some(args.next().ok_or("--emit needs a value")?),
+            "--emit" => {
+                let v = args.next().ok_or("--emit needs a value")?;
+                if !EMIT_KINDS.contains(&v.as_str()) {
+                    return Err(format!(
+                        "--emit: `{v}` is not one of {}",
+                        EMIT_KINDS.join(", ")
+                    ));
+                }
+                emit = Some(v);
+            }
             "--budget" => {
                 let v = args.next().ok_or("--budget needs a value")?;
                 budget = Some(
@@ -412,17 +424,7 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
         Err(code) => return code,
     };
     let t0 = std::time::Instant::now();
-    let all_cells: Vec<longnail::MatrixCell> = isaxes
-        .iter()
-        .flat_map(|(isax, unit, src)| {
-            cores.iter().map(move |ds| longnail::MatrixCell {
-                isax: isax.clone(),
-                unit: unit.clone(),
-                src: src.clone(),
-                datasheet: ds.clone(),
-            })
-        })
-        .collect();
+    let all_cells = longnail::MatrixCell::grid(&isaxes, &cores);
     // Probe the persistent layer first: a hit serves the whole cell's
     // artifact bundle verbatim; only the misses get compiled.
     let mut served: Vec<Option<longnail::CellBundle>> = (0..all_cells.len()).map(|_| None).collect();
@@ -440,6 +442,7 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
         miss_idx.iter().map(|&i| all_cells[i].clone()).collect();
     let matrix: MatrixResult = ln.compile_cells(&miss_cells, args.jobs, &pipe);
     let wall = t0.elapsed();
+    let frontend = matrix.stage("frontend");
     let mut entry_at: Vec<Option<usize>> = vec![None; all_cells.len()];
     for (k, &i) in miss_idx.iter().enumerate() {
         entry_at[i] = Some(k);
@@ -651,8 +654,8 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     // cells have no trace for the aggregator to see).
     summary.cells = all_cells.len() as u64;
     summary.jobs = matrix.jobs as u64;
-    summary.cache_hits = matrix.cache_hits;
-    summary.cache_misses = matrix.cache_misses;
+    summary.cache_hits = frontend.hits;
+    summary.cache_misses = frontend.misses;
     summary.cell_faults = matrix.cell_faults;
     summary.errors_recovered = matrix.errors_recovered;
     summary.pool_wall_ns = matrix.pool_stats.wall_ns;
@@ -662,12 +665,7 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     // probes of the persistent layer.
     let served_count = served.iter().flatten().count() as u64;
     for stage in telemetry::STAGES {
-        let d = matrix
-            .stage_stats
-            .iter()
-            .find(|s| s.stage == stage)
-            .cloned()
-            .unwrap_or_default();
+        let d = matrix.stage(stage);
         let credit: u64 = served_traces
             .iter()
             .flatten()
@@ -711,8 +709,8 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     if args.trace || args.metrics_out.is_some() || args.profile_folded.is_some() {
         use telemetry::metrics;
         let matrix_counters = vec![
-            (metrics::CACHE_FRONTEND_HIT.to_string(), matrix.cache_hits),
-            (metrics::CACHE_FRONTEND_MISS.to_string(), matrix.cache_misses),
+            (metrics::CACHE_FRONTEND_HIT.to_string(), frontend.hits),
+            (metrics::CACHE_FRONTEND_MISS.to_string(), frontend.misses),
             (
                 metrics::POOL_QUEUE_WAIT_NS.to_string(),
                 matrix.pool_stats.queue_wait_total_ns(),
@@ -761,8 +759,8 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
         "matrix: {} cell(s), {} job(s), frontend cache {} hit(s) / {} miss(es), {:.1} ms",
         all_cells.len(),
         matrix.jobs,
-        matrix.cache_hits,
-        matrix.cache_misses,
+        frontend.hits,
+        frontend.misses,
         wall.as_secs_f64() * 1e3
     );
     if args.cache_dir.is_some() {
@@ -970,10 +968,7 @@ fn main() -> ExitCode {
             }
         }
         Some("config") => print!("{}", compiled.config.to_yaml()),
-        Some(other) => {
-            eprintln!("error: unknown --emit `{other}`");
-            return ExitCode::FAILURE;
-        }
+        Some(_) => unreachable!("--emit validated in parse_args"),
         None => {
             if let Err(e) = std::fs::create_dir_all(&args.out) {
                 eprintln!("error: cannot create {}: {e}", args.out.display());
@@ -1176,6 +1171,9 @@ mod tests {
         assert!(parse(&["a", "b", "--core", "ORCA"])
             .unwrap_err()
             .contains("more than one"));
+        assert!(parse(&["x", "--core", "ORCA", "--emit", "bogus", "--report"])
+            .unwrap_err()
+            .contains("`bogus` is not one of hir, lil, sv, config, datasheet"));
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl Diagnostics {
     }
 
     /// Re-records previously captured events — e.g. the core-independent
-    /// lowering diagnostics a [`crate::driver::FrontendCache`] holds —
+    /// lowering diagnostics the pipeline's `frontend` stage caches —
     /// re-stamping each with the currently active trace span so replayed
     /// events link into *this* compilation's trace, not the one they were
     /// first raised in.

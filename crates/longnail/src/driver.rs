@@ -35,7 +35,7 @@ use telemetry::{metrics, SpanId, Telemetry, Trace};
 
 /// Abstract combinational-delay unit assigned to every "real" logic level.
 ///
-/// The paper "currently assume[s] uniform delays and area for logic and
+/// The paper "currently assume\[s\] uniform delays and area for logic and
 /// non-combinational sub-interface operations" (§4.2); a real technology
 /// library is future work there, and the calibrated 22 nm model lives in
 /// the `eda` crate here. Pure wiring (extracts, concats, extensions) costs
@@ -299,7 +299,8 @@ impl Longnail {
         &mut self.frontend
     }
 
-    /// Compiles CoreDSL source text for the given target core.
+    /// Compiles CoreDSL source text for the given target core: a
+    /// [`Longnail::compile_cell`] on a fresh [`PipelineCache`].
     ///
     /// # Errors
     ///
@@ -310,43 +311,35 @@ impl Longnail {
         unit: &str,
         datasheet: &VirtualDatasheet,
     ) -> Result<CompiledIsax, FlowError> {
-        let artifacts = self.frontend_artifacts(src, unit)?;
-        Ok(self.compile_artifacts(&artifacts, datasheet))
+        self.compile_cell(src, unit, datasheet, &PipelineCache::new())
     }
 
-    /// Compiles CoreDSL source text through a shared [`FrontendCache`]:
-    /// the core-independent frontend + lowering half of the flow runs at
-    /// most once per distinct `(source, unit)` pair; only the core-aware
-    /// backend runs per call. The emitted trace is byte-identical
-    /// (after [`Trace::stripped`]) to an uncached [`Longnail::compile`].
+    /// Compiles one ISAX for one core through the full incremental
+    /// pipeline — the one path every compile takes. Every stage is looked
+    /// up in (and populates) `pipe`'s content-keyed stage store, so
+    /// recompiling an unchanged cell is pure cache replay and editing a
+    /// source recomputes only its downstream cone. The emitted trace is
+    /// byte-identical (after [`Trace::stripped`]) warm or cold.
+    ///
+    /// Units are compiled independently: a unit that fails in lowering,
+    /// verification, scheduling, or netlist construction is dropped and
+    /// recorded in [`CompiledIsax::diagnostics`] while the remaining units
+    /// compile normally.
+    ///
+    /// Fault-targeted cells share the store like any other cell: every
+    /// injection point sits outside the stage computations, so an
+    /// injected fault fires identically warm or cold. The one injection
+    /// whose effect reaches a later stage — budget exhaustion drops a
+    /// unit before the `config` stage — is covered by the config key,
+    /// which names the units that actually compiled; so a faulted cell
+    /// never parks a degraded artifact under a key healthy runs trust.
     ///
     /// # Errors
     ///
-    /// Returns a [`FlowError`] naming the failing flow stage. Frontend
-    /// failures are cached too: every core asking for a broken ISAX gets
-    /// the same error without re-running the frontend.
-    pub fn compile_cached(
-        &self,
-        src: &str,
-        unit: &str,
-        datasheet: &VirtualDatasheet,
-        cache: &FrontendCache,
-    ) -> Result<CompiledIsax, FlowError> {
-        self.compile_cell(src, unit, datasheet, cache.pipeline())
-    }
-
-    /// Compiles one matrix cell through the full incremental pipeline:
-    /// every stage is looked up in (and populates) `pipe`'s content-keyed
-    /// stage store, so recompiling an unchanged cell is pure cache
-    /// replay and editing a source recomputes only its downstream cone.
-    /// The emitted trace is byte-identical (after [`Trace::stripped`])
-    /// to an uncached [`Longnail::compile`], warm or cold.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FlowError`] naming the failing flow stage. Failures
-    /// are cached alongside successes — a deterministically broken input
-    /// fails identically warm.
+    /// Returns a [`FlowError`] naming the failing flow stage; a frontend
+    /// failure carries *every* accumulated coded diagnostic in
+    /// `frontend_errors`. Failures are cached alongside successes — a
+    /// deterministically broken input fails identically warm.
     pub fn compile_cell(
         &self,
         src: &str,
@@ -354,6 +347,7 @@ impl Longnail {
         datasheet: &VirtualDatasheet,
         pipe: &PipelineCache,
     ) -> Result<CompiledIsax, FlowError> {
+        let fe_key = pipeline::frontend_key(unit, src);
         if let Some(plan) = &self.fault_plan {
             if plan.fault(unit, &datasheet.core, FaultKind::PoisonCache).is_some() {
                 // Genuinely poison the slot mutex — exactly the state a
@@ -361,21 +355,24 @@ impl Longnail {
                 // fail this cell. Peers sharing the entry must recover
                 // through the store's poison-tolerant locking.
                 set_stage("frontend");
-                pipe.store().poison("frontend", pipeline::frontend_key(unit, src));
+                pipe.store().poison("frontend", fe_key);
                 return Err(FlowError::fault(
                     "frontend",
                     format!("injected fault: frontend cache entry for `{unit}` poisoned"),
                 ));
             }
             if plan.fault(unit, &datasheet.core, FaultKind::ParseError).is_some() {
-                // Bypass the shared cache: the injected frontend failure
-                // must stay in this cell, not be cached for every core
-                // that asks for this (healthy) source.
-                let artifacts = self.frontend_artifacts_for(src, unit, Some(&datasheet.core))?;
-                return Ok(self.compile_artifacts(&artifacts, datasheet));
+                // Fails before the lookup: the injected failure stays in
+                // this cell, never cached for the (healthy) source.
+                self.stage_boundary(unit, &datasheet.core, "frontend");
+                return Err(FlowError::frontend(vec![Diagnostic::coded(
+                    codes::PARSE_EXPECTED,
+                    Span::new(1, 1),
+                    "injected fault: forced parse error",
+                )
+                .in_source(unit)]));
             }
         }
-        let fe_key = pipeline::frontend_key(unit, src);
         let (result, lookup) = pipe.store().get_or_compute_sized(
             "frontend",
             fe_key,
@@ -387,14 +384,7 @@ impl Longnail {
         // lookup so `cache.lower.*` stats stay observable per stage.
         pipe.store().record("lower", lookup);
         let artifacts = result?;
-        // Fault-targeted cells run the backend uncached: an injected
-        // panic or degradation must fire identically warm or cold and
-        // never park a poisoned artifact under a key healthy runs trust.
-        let cached_backend = !self
-            .fault_plan
-            .as_ref()
-            .is_some_and(|p| p.targets_cell(unit, &datasheet.core));
-        let ctx = cached_backend.then(|| PipeCtx {
+        let ctx = PipeCtx {
             pipe,
             fe_key,
             cfg_key: pipeline::core_config_key(
@@ -403,79 +393,16 @@ impl Longnail {
                 self.work_limit,
                 &self.config_fingerprint(),
             ),
-        });
-        Ok(self.compile_artifacts_with_cache(
-            &artifacts,
-            datasheet,
-            Some(&CacheLookup::from(lookup)),
-            ctx.as_ref(),
-        ))
-    }
-
-    /// Compiles an already type-checked module for the given target core.
-    ///
-    /// Units are compiled independently: a unit that fails in lowering,
-    /// verification, scheduling, or netlist construction is dropped and
-    /// recorded in [`CompiledIsax::diagnostics`] while the remaining units
-    /// compile normally. Callers decide what an acceptable outcome is via
-    /// [`Diagnostics::has_errors`] / [`Diagnostics::has_faults`].
-    ///
-    /// # Errors
-    ///
-    /// Reserved for module-wide failures; per-unit failures surface as
-    /// diagnostics instead.
-    pub fn compile_module(
-        &self,
-        module: TypedModule,
-        datasheet: &VirtualDatasheet,
-    ) -> Result<CompiledIsax, FlowError> {
-        Ok(self.compile_artifacts(&lower_artifacts(module), datasheet))
+        };
+        Ok(self.compile_backend(&artifacts, datasheet, lookup, &ctx))
     }
 
     /// Runs the core-independent half of the flow: parse, elaborate,
-    /// type-check, and lower to verified LIL. The result can be compiled
-    /// for any number of cores via [`Longnail::compile_artifacts`] and is
-    /// what [`FrontendCache`] shares between matrix cells.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FlowError`] if the frontend rejects the source; its
-    /// `frontend_errors` field carries *every* accumulated coded
-    /// diagnostic, not just the first. Per-unit lowering problems are
-    /// captured inside the artifacts and replayed into each
-    /// compilation's diagnostics instead.
-    pub fn frontend_artifacts(
-        &self,
-        src: &str,
-        unit: &str,
-    ) -> Result<FrontendArtifacts, FlowError> {
-        self.frontend_artifacts_for(src, unit, None)
-    }
-
-    /// [`Longnail::frontend_artifacts`] with an optional target-core
-    /// context for fault injection. The cache-shared path passes `None`
-    /// (injection is per-cell, never per-cache-entry).
-    fn frontend_artifacts_for(
-        &self,
-        src: &str,
-        unit: &str,
-        core: Option<&str>,
-    ) -> Result<FrontendArtifacts, FlowError> {
-        if let Some(core) = core {
-            self.stage_boundary(unit, core, "frontend");
-            if let Some(plan) = &self.fault_plan {
-                if plan.fault(unit, core, FaultKind::ParseError).is_some() {
-                    return Err(FlowError::frontend(vec![Diagnostic::coded(
-                        codes::PARSE_EXPECTED,
-                        Span::new(1, 1),
-                        "injected fault: forced parse error",
-                    )
-                    .in_source(unit)]));
-                }
-            }
-        } else {
-            set_stage("frontend");
-        }
+    /// type-check, and lower to verified LIL. Per-unit lowering problems
+    /// are captured inside the artifacts and replayed into each
+    /// compilation's diagnostics.
+    fn frontend_artifacts(&self, src: &str, unit: &str) -> Result<FrontendArtifacts, FlowError> {
+        set_stage("frontend");
         let out = self.frontend.compile_str_all(src, unit);
         if !out.errors.is_empty() {
             return Err(FlowError::frontend(out.errors));
@@ -483,51 +410,34 @@ impl Longnail {
         let module = out
             .module
             .ok_or_else(|| FlowError::error("frontend", "elaboration produced no module"))?;
-        if let Some(core) = core {
-            self.stage_boundary(unit, core, "lower");
-        } else {
-            set_stage("lower");
-        }
+        set_stage("lower");
         Ok(lower_artifacts(module))
     }
 
     /// The core-aware backend: schedules, builds, and emits every verified
     /// LIL graph in `artifacts` against `datasheet`, replaying the cached
     /// frontend/lower telemetry so the trace is indistinguishable from a
-    /// monolithic run.
-    pub fn compile_artifacts(
+    /// monolithic run. The cell's root span carries what the frontend
+    /// `lookup` observed as `cache.frontend.*` counters; which cell wins
+    /// the miss is a race under concurrency, so [`Trace::stripped`] drops
+    /// them.
+    fn compile_backend(
         &self,
         artifacts: &FrontendArtifacts,
         datasheet: &VirtualDatasheet,
-    ) -> CompiledIsax {
-        self.compile_artifacts_with_cache(artifacts, datasheet, None, None)
-    }
-
-    /// [`Longnail::compile_artifacts`] plus optional cache attribution:
-    /// the matrix path passes what its [`FrontendCache`] lookup observed
-    /// so the cell's root span carries `cache.frontend.*` counters. The
-    /// names are nondeterministic under concurrency (which cell wins the
-    /// miss is a race), so [`Trace::stripped`] drops them — an uncached
-    /// trace and a cached one stay byte-identical after stripping.
-    fn compile_artifacts_with_cache(
-        &self,
-        artifacts: &FrontendArtifacts,
-        datasheet: &VirtualDatasheet,
-        cache: Option<&CacheLookup>,
-        ctx: Option<&PipeCtx<'_>>,
+        lookup: qcache::Lookup,
+        ctx: &PipeCtx<'_>,
     ) -> CompiledIsax {
         let module = &artifacts.module;
         let lil = &artifacts.lil;
         let mut tel = Telemetry::new();
         let root = tel.start_span("compile");
         tel.attr(root, "core", &datasheet.core);
-        if let Some(lookup) = cache {
-            tel.counter(root, metrics::CACHE_FRONTEND_HIT, u64::from(lookup.hit));
-            tel.counter(root, metrics::CACHE_FRONTEND_MISS, u64::from(!lookup.hit));
-            if lookup.waited {
-                tel.counter(root, metrics::CACHE_FRONTEND_WAIT, 1);
-                tel.counter(root, metrics::CACHE_FRONTEND_WAIT_NS, lookup.wait_ns);
-            }
+        tel.counter(root, metrics::CACHE_FRONTEND_HIT, u64::from(lookup.hit));
+        tel.counter(root, metrics::CACHE_FRONTEND_MISS, u64::from(!lookup.hit));
+        if lookup.waited {
+            tel.counter(root, metrics::CACHE_FRONTEND_WAIT, 1);
+            tel.counter(root, metrics::CACHE_FRONTEND_WAIT_NS, lookup.wait_ns);
         }
         let stats = module.stats();
         self.stage_boundary(&module.name, &datasheet.core, "frontend");
@@ -551,6 +461,9 @@ impl Longnail {
             .chain(module.always_blocks.iter().map(|a| (a.name.clone(), a.span)))
             .collect();
         let mut graphs = Vec::new();
+        // Scope keys of the graphs that compiled: the config is built from
+        // exactly these, so they belong in its key.
+        let mut compiled_scopes = Vec::new();
         for (gi, graph) in lil.graphs.iter().enumerate() {
             let unit_span = tel.start_unit_span("unit", Some(&graph.name));
             diagnostics.set_trace_span(Some(unit_span.0));
@@ -558,9 +471,10 @@ impl Longnail {
             // the first unit, so a faulted cell degrades to exactly one
             // diagnostic.
             let inject = gi == 0;
+            let scope = pipeline::graph_scope_key(&ctx.fe_key, gi, &graph.name);
             match self.compile_graph(
                 graph,
-                gi,
+                scope,
                 lil,
                 datasheet,
                 &mut diagnostics,
@@ -569,7 +483,10 @@ impl Longnail {
                 inject,
                 ctx,
             ) {
-                Ok(cg) => graphs.push(cg),
+                Ok(cg) => {
+                    graphs.push(cg);
+                    compiled_scopes.push(scope);
+                }
                 Err(e) => {
                     let span = spans.get(&graph.name).copied();
                     // The netlist lint guards compiler-constructed hardware;
@@ -587,16 +504,25 @@ impl Longnail {
         diagnostics.set_trace_span(None);
         self.stage_boundary(&module.name, &datasheet.core, "config");
         let config_span = tel.start_span("config");
+        let config_key = {
+            let mut parts = vec![&ctx.fe_key, &ctx.cfg_key];
+            parts.extend(&compiled_scopes);
+            pipeline::derive("config", &parts)
+        };
         let cval = run_stage(
             ctx,
             "config",
-            |cx| pipeline::derive("config", &[&cx.fe_key, &cx.cfg_key]),
+            config_key,
             || config_stage(lil, &graphs),
             |c| (c.functionalities.len() as u64 + 1) * 256,
         );
         cval.tape
             .replay(&mut tel, config_span, config_span, &mut diagnostics, &lil.name);
-        let config = cval.outcome.expect("config stage is infallible");
+        let config = cval
+            .outcome
+            .as_ref()
+            .expect("config stage is infallible")
+            .clone();
         tel.end_span(config_span);
         // Errors that were contained to their unit instead of aborting
         // the compilation. Omitted (not zero) on clean runs so a clean
@@ -629,57 +555,18 @@ impl Longnail {
         }
     }
 
-    /// Compiles the full evaluation matrix (`isaxes` × `cores`) across up
-    /// to `jobs` worker threads, sharing one [`FrontendCache`] so each
-    /// distinct ISAX source is parsed, type-checked, and lowered exactly
-    /// once no matter how many cores consume it.
+    /// Compiles a list of cells — a full matrix ([`MatrixCell::grid`]) or
+    /// any subset of one (the persistent layer serves some cells from
+    /// disk and compiles only the rest) — across up to `jobs` worker
+    /// threads, each through [`Longnail::compile_cell`] on the shared
+    /// `pipe`. With a fresh cache this is a cold compile that still runs
+    /// each distinct ISAX frontend once; with a reused one, every stage
+    /// whose content key is unchanged is replayed from the store.
     ///
-    /// `isaxes` entries are `(display_name, unit, source)` triples in the
-    /// shape of [`crate::isax_lib::all_isaxes`]. The result's entries are
-    /// in deterministic row-major input order (`isaxes[0]×cores[0],
-    /// isaxes[0]×cores[1], ...`), merged by stable cell index — never by
-    /// worker completion order — so output, diagnostics, and stripped
-    /// traces are identical for any `jobs` value.
-    pub fn compile_matrix(
-        &self,
-        isaxes: &[(String, String, String)],
-        cores: &[VirtualDatasheet],
-        jobs: usize,
-    ) -> MatrixResult {
-        self.compile_matrix_cached(isaxes, cores, jobs, &PipelineCache::new())
-    }
-
-    /// [`Longnail::compile_matrix`] against a caller-owned
-    /// [`PipelineCache`]. With a fresh cache this is the cold behavior;
-    /// with a reused one, every pipeline stage whose content key is
-    /// unchanged since the previous run is replayed from the store — a
-    /// warm recompile with one edited ISAX recomputes only that ISAX's
-    /// cells, stage by stage.
-    pub fn compile_matrix_cached(
-        &self,
-        isaxes: &[(String, String, String)],
-        cores: &[VirtualDatasheet],
-        jobs: usize,
-        pipe: &PipelineCache,
-    ) -> MatrixResult {
-        let cells: Vec<MatrixCell> = isaxes
-            .iter()
-            .flat_map(|(isax, unit, src)| {
-                cores.iter().map(move |ds| MatrixCell {
-                    isax: isax.clone(),
-                    unit: unit.clone(),
-                    src: src.clone(),
-                    datasheet: ds.clone(),
-                })
-            })
-            .collect();
-        self.compile_cells(&cells, jobs, pipe)
-    }
-
-    /// Compiles an explicit list of cells (not necessarily a full cross
-    /// product — the persistent layer serves some cells from disk and
-    /// compiles only the rest) with the same per-cell isolation,
-    /// deterministic ordering, and accounting as a full matrix.
+    /// The result's entries are in input order, merged by stable cell
+    /// index — never by worker completion order — so output, diagnostics,
+    /// and stripped traces are identical for any `jobs` value. A panic in
+    /// one cell becomes that cell's [`Severity::Fault`] outcome.
     pub fn compile_cells(
         &self,
         cells: &[MatrixCell],
@@ -752,16 +639,9 @@ impl Longnail {
                 }
             })
             .collect();
-        let frontend = stage_stats
-            .iter()
-            .find(|s| s.stage == "frontend")
-            .cloned()
-            .unwrap_or_default();
         MatrixResult {
             entries,
             jobs: pool.workers(),
-            cache_hits: frontend.hits,
-            cache_misses: frontend.misses,
             cell_faults,
             errors_recovered,
             stage_stats,
@@ -773,34 +653,30 @@ impl Longnail {
     fn compile_graph(
         &self,
         graph: &Graph,
-        gi: usize,
+        scope: Digest,
         lil: &LilModule,
         datasheet: &VirtualDatasheet,
         diagnostics: &mut Diagnostics,
         tel: &mut Telemetry,
         unit_span: SpanId,
         inject: bool,
-        ctx: Option<&PipeCtx<'_>>,
+        ctx: &PipeCtx<'_>,
     ) -> Result<CompiledGraph, FlowError> {
         let is_always = graph.kind == GraphKind::Always;
         // Stage keys chain Merkle-style from this graph's scope key: an
         // upstream edit flips every key downstream of it and no other.
-        let keys = ctx.map(|cx| {
-            let g = pipeline::graph_scope_key(&cx.fe_key, gi, &graph.name);
-            let problem = pipeline::derive("problem", &[&g, &cx.cfg_key]);
-            let solve = pipeline::derive("solve", &[&problem]);
-            let modes = pipeline::derive("modes", &[&solve]);
-            let rtl = pipeline::derive("rtl", &[&solve]);
-            let opt = pipeline::derive("opt", &[&rtl]);
-            // The Verilog chains from whichever module actually feeds it:
-            // the optimized one above -O0, the raw build otherwise.
-            let verilog = if self.opt_level == OptLevel::O0 {
-                pipeline::derive("verilog", &[&rtl])
-            } else {
-                pipeline::derive("verilog", &[&opt])
-            };
-            (problem, solve, modes, rtl, opt, verilog)
-        });
+        let problem_key = pipeline::derive("problem", &[&scope, &ctx.cfg_key]);
+        let solve_key = pipeline::derive("solve", &[&problem_key]);
+        let modes_key = pipeline::derive("modes", &[&solve_key]);
+        let rtl_key = pipeline::derive("rtl", &[&solve_key]);
+        let opt_key = pipeline::derive("opt", &[&rtl_key]);
+        // The Verilog chains from whichever module actually feeds it:
+        // the optimized one above -O0, the raw build otherwise.
+        let verilog_key = if self.opt_level == OptLevel::O0 {
+            pipeline::derive("verilog", &[&rtl_key])
+        } else {
+            pipeline::derive("verilog", &[&opt_key])
+        };
 
         // --- LongnailProblem construction ---
         self.stage_boundary(&lil.name, &datasheet.core, "problem");
@@ -808,13 +684,13 @@ impl Longnail {
         let pval = run_stage(
             ctx,
             "problem",
-            |_| keys.expect("keys exist when ctx does").0,
+            problem_key,
             || self.problem_stage(graph, is_always, datasheet),
             |p| (p.op_ids.len() as u64 + 1) * 192,
         );
         pval.tape
             .replay(tel, problem_span, unit_span, diagnostics, &graph.name);
-        let pout = pval.outcome?;
+        let pout = pval.outcome.as_ref().map_err(Clone::clone)?;
         tel.end_span(problem_span);
 
         // --- ILP solve (resilient facade) ---
@@ -837,13 +713,13 @@ impl Longnail {
         let sval = run_stage(
             ctx,
             "solve",
-            |_| keys.expect("keys exist when ctx does").1,
-            || self.solve_stage(&pout, graph),
+            solve_key,
+            || self.solve_stage(pout, graph),
             |s| (s.schedule.start_time.len() as u64 + 1) * 16,
         );
         sval.tape
             .replay(tel, solve_span, unit_span, diagnostics, &graph.name);
-        let sout = sval.outcome?;
+        let sout = sval.outcome.as_ref().map_err(Clone::clone)?;
         tel.end_span(solve_span);
 
         // --- Per-write-interface mode selection (§4.3) and overall mode ---
@@ -852,13 +728,13 @@ impl Longnail {
         let mval = run_stage(
             ctx,
             "modes",
-            |_| keys.expect("keys exist when ctx does").2,
-            || modes_stage(graph, is_always, datasheet, &sout),
+            modes_key,
+            || modes_stage(graph, is_always, datasheet, sout),
             |_| 64,
         );
         mval.tape
             .replay(tel, modes_span, unit_span, diagnostics, &graph.name);
-        let mout = mval.outcome?;
+        let mout = mval.outcome.as_ref().map_err(Clone::clone)?;
         tel.end_span(modes_span);
 
         // --- Hardware construction and lint ---
@@ -867,13 +743,13 @@ impl Longnail {
         let rval = run_stage(
             ctx,
             "rtl",
-            |_| keys.expect("keys exist when ctx does").3,
-            || rtl_stage(graph, lil, datasheet, &sout),
+            rtl_key,
+            || rtl_stage(graph, lil, datasheet, sout),
             |b| (b.module.nets.len() as u64 + 1) * 160,
         );
         rval.tape
             .replay(tel, rtl_span, unit_span, diagnostics, &graph.name);
-        let built = rval.outcome?;
+        let built = rval.outcome.as_ref().map_err(Clone::clone)?;
         tel.end_span(rtl_span);
 
         // --- Oracle-gated netlist optimization (skipped entirely at -O0,
@@ -882,20 +758,21 @@ impl Longnail {
         // panic-attribution stage and fires planned faults, so chaos plans
         // targeting `opt` behave identically at every level. ---
         self.stage_boundary(&lil.name, &datasheet.core, "opt");
+        let oval;
         let built = if self.opt_level == OptLevel::O0 {
             built
         } else {
             let opt_span = tel.start_span("opt");
-            let oval = run_stage(
+            oval = run_stage(
                 ctx,
                 "opt",
-                |_| keys.expect("keys exist when ctx does").4,
-                || opt_stage(&built, self.opt_level),
+                opt_key,
+                || opt_stage(built, self.opt_level),
                 |b| (b.module.nets.len() as u64 + 1) * 160,
             );
             oval.tape
                 .replay(tel, opt_span, unit_span, diagnostics, &graph.name);
-            let optimized = oval.outcome?;
+            let optimized = oval.outcome.as_ref().map_err(Clone::clone)?;
             tel.end_span(opt_span);
             optimized
         };
@@ -906,13 +783,13 @@ impl Longnail {
         let vval = run_stage(
             ctx,
             "verilog",
-            |_| keys.expect("keys exist when ctx does").5,
-            || verilog_stage(&built),
+            verilog_key,
+            || verilog_stage(built),
             |v| v.len() as u64,
         );
         vval.tape
             .replay(tel, verilog_span, unit_span, diagnostics, &graph.name);
-        let verilog = vval.outcome?;
+        let verilog = vval.outcome.as_ref().map_err(Clone::clone)?;
         tel.end_span(verilog_span);
 
         let (mask, match_value) = match graph.kind {
@@ -925,10 +802,10 @@ impl Longnail {
             mask,
             match_value,
             graph: graph.clone(),
-            schedule: sout.schedule,
+            schedule: sout.schedule.clone(),
             max_stage: built.max_stage,
-            built,
-            verilog,
+            built: built.clone(),
+            verilog: verilog.clone(),
             mode: mout.mode,
             result_stage: mout.result_stage,
             spawn_stage: mout.spawn_stage,
@@ -1099,38 +976,38 @@ impl Longnail {
 
 /// Stage-cache context of one cell compilation: the shared store plus
 /// the two roots every stage key chains from.
-pub(crate) struct PipeCtx<'a> {
-    pub pipe: &'a PipelineCache,
+struct PipeCtx<'a> {
+    pipe: &'a PipelineCache,
     /// Content-address of the frontend artifact this cell consumes.
-    pub fe_key: Digest,
+    fe_key: Digest,
     /// Content-address of the core/options configuration.
-    pub cfg_key: Digest,
+    cfg_key: Digest,
 }
 
-/// Runs one backend stage through the store when a cache context exists,
-/// directly otherwise (plain `compile` / fault-targeted cells). The key
-/// closure is only evaluated when there is a store to address.
-fn run_stage<T, K, F>(
-    ctx: Option<&PipeCtx<'_>>,
+/// Runs one backend stage through the cell's stage store: a hit replays
+/// the stored value, a miss runs `compute` and stores its result. The
+/// value is shared, not copied: callers borrow it and clone only what
+/// they keep.
+fn run_stage<T, F>(
+    ctx: &PipeCtx<'_>,
     stage: &'static str,
-    key: K,
+    key: Digest,
     compute: F,
     payload_bytes: fn(&T) -> u64,
-) -> StageVal<T>
+) -> Arc<StageVal<T>>
 where
-    T: Clone + Send + Sync + 'static,
-    K: FnOnce(&PipeCtx<'_>) -> Digest,
+    T: Send + Sync + 'static,
     F: FnOnce() -> StageVal<T>,
 {
-    match ctx {
-        Some(cx) => {
-            cx.pipe
-                .store()
-                .get_or_compute_sized(stage, key(cx), compute, |v| stage_bytes(v, payload_bytes))
-                .0
-        }
-        None => compute(),
-    }
+    ctx.pipe
+        .store()
+        .get_or_compute_sized(
+            stage,
+            key,
+            || Arc::new(compute()),
+            |v| stage_bytes(v, payload_bytes),
+        )
+        .0
 }
 
 /// Rough heap footprint of one cached stage value, charged against the
@@ -1379,18 +1256,19 @@ fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<IsaxConfi
 /// The core-independent half of a compilation: the elaborated typed
 /// module plus its verified LIL lowering and any per-unit diagnostics the
 /// lowering raised. Produced once per `(source, unit)` pair and shared —
-/// via [`FrontendCache`] — across every core the ISAX is compiled for.
+/// via the `frontend` stage of the [`PipelineCache`] — across every core
+/// the ISAX is compiled for.
 #[derive(Debug, Clone)]
-pub struct FrontendArtifacts {
+struct FrontendArtifacts {
     /// The elaborated, type-checked module.
-    pub module: TypedModule,
+    module: TypedModule,
     /// The lowered LIL module; only graphs that passed the stage verifier
     /// are present.
-    pub lil: LilModule,
+    lil: LilModule,
     /// Diagnostics raised during lowering/verification. Core-independent,
     /// so they are replayed verbatim into every per-core compilation
     /// (re-stamped with that compilation's trace span).
-    pub lower_events: Vec<DiagEvent>,
+    lower_events: Vec<DiagEvent>,
 }
 
 /// Lowers a type-checked module to verified LIL, capturing per-unit
@@ -1443,143 +1321,6 @@ fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
     }
 }
 
-/// Content-address of a CoreDSL source: 64-bit FNV-1a over its bytes.
-pub fn source_hash(src: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in src.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A thread-safe, content-addressed cache of [`FrontendArtifacts`].
-/// Frontend *failures* are cached alongside successes so a broken ISAX
-/// fails once, not once per core.
-///
-/// Since the incremental-pipeline refactor this is a thin facade over a
-/// [`PipelineCache`]'s `frontend` stage slot (SHA-256 content keys,
-/// exactly-once condvar slots, exact wait accounting — the old
-/// `try_lock`-probe undercount is gone with the probe). It survives as a
-/// type because "share just the frontend across one matrix" remains a
-/// meaningful unit of caching.
-#[derive(Default)]
-pub struct FrontendCache {
-    pipe: PipelineCache,
-}
-
-impl FrontendCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The full pipeline cache this facade fronts.
-    pub fn pipeline(&self) -> &PipelineCache {
-        &self.pipe
-    }
-
-    /// Lookups that found a previously computed entry.
-    pub fn hits(&self) -> u64 {
-        self.pipe.store().stage_stats("frontend").hits
-    }
-
-    /// Lookups that had to run the frontend + lowering.
-    pub fn misses(&self) -> u64 {
-        self.pipe.store().stage_stats("frontend").misses
-    }
-
-    /// Distinct `(source, unit)` pairs held.
-    pub fn len(&self) -> usize {
-        self.pipe.store().len("frontend")
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns the cached artifacts for `(src, unit)`, computing them with
-    /// `ln`'s frontend on first access. Concurrent requests for the same
-    /// key block on the first one rather than duplicating the work.
-    ///
-    /// Poison-tolerant: a peer that panicked while holding a lock (its
-    /// cell is already lost to a fault diagnostic) must not take every
-    /// later cell down with it. A poisoned mutex is re-entered; an entry
-    /// the crashed peer never finished is simply recomputed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the (cached) frontend [`FlowError`] for sources that do not
-    /// compile.
-    pub fn get_or_compute(
-        &self,
-        src: &str,
-        unit: &str,
-        ln: &Longnail,
-    ) -> Result<Arc<FrontendArtifacts>, FlowError> {
-        self.get_or_compute_traced(src, unit, ln).0
-    }
-
-    /// [`FrontendCache::get_or_compute`] plus what the lookup observed
-    /// from the requesting cell's point of view: hit vs miss, and whether
-    /// (and how long) it blocked on a slot a concurrent peer was busy
-    /// computing. The totals stay deterministic (exactly one miss per
-    /// distinct key, and — unlike the old racy `try_lock` probe — every
-    /// contended wait is counted, because the store counts the wait under
-    /// the slot's own lock). The *attribution* — which cell got the miss
-    /// — is still a race, which is why these feed nondeterministic
-    /// `cache.*` metrics.
-    pub fn get_or_compute_traced(
-        &self,
-        src: &str,
-        unit: &str,
-        ln: &Longnail,
-    ) -> (Result<Arc<FrontendArtifacts>, FlowError>, CacheLookup) {
-        let key = pipeline::frontend_key(unit, src);
-        let (result, lookup) = self.pipe.store().get_or_compute_sized(
-            "frontend",
-            key,
-            || ln.frontend_artifacts(src, unit).map(Arc::new),
-            |_| 1024 + (src.len() as u64) * 8,
-        );
-        (result, CacheLookup::from(lookup))
-    }
-
-    /// Deliberately poisons the entry mutex for `(src, unit)` — a panic
-    /// while the lock is held, exactly the state a worker that crashed
-    /// mid-compute leaves behind. Fault injection uses this to prove
-    /// that peers sharing the entry recover instead of cascading.
-    pub fn poison_entry(&self, src: &str, unit: &str) {
-        self.pipe
-            .store()
-            .poison("frontend", pipeline::frontend_key(unit, src));
-    }
-}
-
-/// What one [`FrontendCache`] lookup observed, from the requesting
-/// cell's point of view. Feeds the `cache.frontend.*` trace counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheLookup {
-    /// True when the entry was already computed (hit); false when this
-    /// lookup ran the frontend (miss).
-    pub hit: bool,
-    /// True when the lookup blocked on a slot a concurrent peer held.
-    pub waited: bool,
-    /// Nanoseconds spent blocked acquiring the slot.
-    pub wait_ns: u64,
-}
-
-impl From<qcache::Lookup> for CacheLookup {
-    fn from(l: qcache::Lookup) -> Self {
-        CacheLookup {
-            hit: l.hit,
-            waited: l.waited,
-            wait_ns: l.wait_ns,
-        }
-    }
-}
-
 /// One cell of work for [`Longnail::compile_cells`]: an ISAX source
 /// targeted at one core's datasheet.
 #[derive(Debug, Clone)]
@@ -1592,6 +1333,29 @@ pub struct MatrixCell {
     pub src: String,
     /// Target core datasheet.
     pub datasheet: VirtualDatasheet,
+}
+
+impl MatrixCell {
+    /// The `isaxes` × `cores` cross product in row-major order
+    /// (`isaxes[0]×cores[0], isaxes[0]×cores[1], …`). `isaxes` entries
+    /// are `(display_name, unit, source)` triples in the shape of
+    /// [`crate::isax_lib::all_isaxes`].
+    pub fn grid(
+        isaxes: &[(String, String, String)],
+        cores: &[VirtualDatasheet],
+    ) -> Vec<MatrixCell> {
+        isaxes
+            .iter()
+            .flat_map(|(isax, unit, src)| {
+                cores.iter().map(move |ds| MatrixCell {
+                    isax: isax.clone(),
+                    unit: unit.clone(),
+                    src: src.clone(),
+                    datasheet: ds.clone(),
+                })
+            })
+            .collect()
+    }
 }
 
 /// One cell of a compiled matrix: one ISAX targeted at one core.
@@ -1607,20 +1371,15 @@ pub struct MatrixEntry {
     pub outcome: Result<CompiledIsax, FlowError>,
 }
 
-/// Result of [`Longnail::compile_matrix`]: all cells in deterministic
-/// row-major input order plus the shared-cache statistics.
+/// Result of [`Longnail::compile_cells`]: all cells in input order plus
+/// the shared-cache statistics.
 #[derive(Debug)]
 pub struct MatrixResult {
-    /// One entry per `(isax, core)` pair, ordered `isaxes[0]×cores[0],
-    /// isaxes[0]×cores[1], …` regardless of worker scheduling.
+    /// One entry per input cell, in input order regardless of worker
+    /// scheduling.
     pub entries: Vec<MatrixEntry>,
     /// Worker threads the matrix actually ran with.
     pub jobs: usize,
-    /// Frontend-cache hits across all cells (for the 8×4 evaluation
-    /// matrix: 24 — each of the 8 ISAXes reused by 3 of the 4 cores).
-    pub cache_hits: u64,
-    /// Frontend-cache misses (distinct ISAX sources actually compiled).
-    pub cache_misses: u64,
     /// Cells whose outcome is a [`Severity::Fault`] failure (contained
     /// panics, poisoned caches) — the `degrade.cell_faults` counter.
     pub cell_faults: u64,
@@ -1629,8 +1388,9 @@ pub struct MatrixResult {
     pub errors_recovered: u64,
     /// Per-stage cache activity of this run (hit/miss/wait deltas
     /// against the shared [`PipelineCache`]), sorted by stage name.
-    /// `frontend` repeats `cache_hits`/`cache_misses`; `lower` mirrors
-    /// `frontend` (the lowered IR rides inside the frontend artifact).
+    /// `frontend` counts distinct ISAX sources compiled (misses) and
+    /// reused (hits) — 8 and 24 for the 8×4 evaluation matrix; `lower`
+    /// mirrors it (the lowered IR rides inside the frontend artifact).
     pub stage_stats: Vec<StageCacheStats>,
     /// What the worker pool observed about its own scheduling: wall time,
     /// queue-wait vs run split per cell, per-worker load. Wall-clock- and
@@ -1640,6 +1400,15 @@ pub struct MatrixResult {
 }
 
 impl MatrixResult {
+    /// This run's cache activity for one stage (zero if it never ran).
+    pub fn stage(&self, stage: &str) -> StageCacheStats {
+        self.stage_stats
+            .iter()
+            .find(|s| s.stage == stage)
+            .cloned()
+            .unwrap_or_default()
+    }
+
     /// Finds a cell by ISAX display name and core.
     pub fn entry(&self, isax: &str, core: &str) -> Option<&MatrixEntry> {
         self.entries

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] tells the driver to break specific matrix cells on
 //! purpose — a forced panic at one of the eight pipeline stage
 //! boundaries, a forced parse error, solver-budget exhaustion, or a
-//! poisoned [`crate::driver::FrontendCache`] entry — so the graceful-
+//! poisoned `frontend` entry of the [`crate::PipelineCache`] — so the graceful-
 //! degradation machinery (per-cell isolation, `--keep-going`, partial
 //! exit codes) can be exercised and regression-tested without relying on
 //! real compiler bugs. Injection is keyed on the `(unit, core)` cell, so
@@ -34,13 +34,13 @@ pub enum FaultKind {
     /// Panic at a stage-span boundary; exercises per-cell panic
     /// isolation (`Severity::Fault`, exit code 2 territory).
     Panic,
-    /// Forced coded parse error from the frontend; exercises the
-    /// cache-bypassing error path (`Severity::Error`).
+    /// Forced coded parse error from the frontend, raised before the
+    /// cache lookup so it is never cached (`Severity::Error`).
     ParseError,
     /// Solver work budget exhausted before a schedule exists; the cell's
     /// first unit fails with a `solve`-stage error.
     BudgetExhaustion,
-    /// The shared frontend-cache entry mutex is genuinely poisoned (a
+    /// The shared `frontend` stage-store slot mutex is genuinely poisoned (a
     /// panic while holding the lock); this cell fails, peers sharing the
     /// entry must recover.
     PoisonCache,

@@ -33,8 +33,8 @@ pub mod xcheck;
 
 pub use diag::{DiagEvent, Diagnostics, Severity};
 pub use driver::{
-    current_stage, CacheLookup, CompiledGraph, CompiledIsax, FlowError, FrontendArtifacts,
-    FrontendCache, Longnail, MatrixCell, MatrixEntry, MatrixResult,
+    current_stage, CompiledGraph, CompiledIsax, FlowError, Longnail, MatrixCell, MatrixEntry,
+    MatrixResult,
 };
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use rtl::opt::OptLevel;

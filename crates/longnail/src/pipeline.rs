@@ -24,7 +24,7 @@
 //! *inputs* instead of the upstream artifact bytes: same inputs, same
 //! artifact.
 //!
-//! Cached stage values are [`StageVal`]s: the stage outcome plus a
+//! Cached stage values are shared [`StageVal`]s: the stage outcome plus a
 //! [`Tape`] of the telemetry the computation emitted. A cache hit
 //! *replays* the tape onto the live trace, so a warm compilation's trace
 //! is byte-identical (after [`telemetry::Trace::stripped`]) to a cold
@@ -32,7 +32,7 @@
 
 use crate::diag::Diagnostics;
 use qcache::{Digest, DiskCache, Sha256, StageStats, Store};
-use scaiev::datasheet::VirtualDatasheet;
+use scaiev::datasheet::{Timing, VirtualDatasheet};
 use std::io;
 use std::path::Path;
 use telemetry::{SpanId, Telemetry};
@@ -42,18 +42,19 @@ use telemetry::{SpanId, Telemetry};
 /// by older revisions self-invalidate instead of being trusted.
 const SCHEMA_REV: u32 = 1;
 
-/// The on-disk schema fingerprint: 64-bit FNV-1a (a non-key use — cache
-/// keys themselves are SHA-256) over the crate version, schema revision,
-/// and the run's canonical config fingerprint
-/// ([`crate::Longnail::config_fingerprint`]). Folding the config in means
-/// an artifact written at one `--opt-level` can never be mistaken for
-/// another level's, even if a key collision were engineered — the entry
-/// self-invalidates at load.
+/// The on-disk schema fingerprint: the first 8 bytes (little-endian) of
+/// the SHA-256 over the crate version, schema revision, and the run's
+/// canonical config fingerprint ([`crate::Longnail::config_fingerprint`]).
+/// Folding the config in means an artifact written at one `--opt-level`
+/// can never be mistaken for another level's, even if a key collision
+/// were engineered — the entry self-invalidates at load.
 pub fn schema_fingerprint(config: &str) -> u64 {
-    crate::driver::source_hash(&format!(
+    let text = format!(
         "longnail/{}/schema/{SCHEMA_REV}/{config}",
         env!("CARGO_PKG_VERSION")
-    ))
+    );
+    let d = qcache::digest(text.as_bytes());
+    u64::from_le_bytes(d.0[..8].try_into().expect("8 of 32 digest bytes"))
 }
 
 /// Shared cache state for the whole pipeline: the in-memory exactly-once
@@ -132,8 +133,9 @@ pub fn frontend_key(unit: &str, src: &str) -> Digest {
 }
 
 /// Content-address of everything core- and option-shaped that feeds the
-/// backend: the virtual datasheet (its YAML rendering plus the exact
-/// clock bits, which the YAML omits when unset), the chaining budget,
+/// backend: every field of the virtual datasheet (hashed directly, not
+/// through its YAML rendering, which costs more than the rest of the
+/// key), the chaining budget,
 /// the solver work limit, and the canonical config fingerprint (opt
 /// level + emission options — [`crate::Longnail::config_fingerprint`]).
 /// Every downstream stage key chains from this one, so flipping
@@ -146,13 +148,38 @@ pub fn core_config_key(
     work_limit: u64,
     config: &str,
 ) -> Digest {
-    Sha256::new()
+    // Destructured so a new datasheet field cannot be left out of the key.
+    let VirtualDatasheet {
+        core,
+        stages,
+        writeback_stage,
+        memory_stage,
+        entries,
+        clock_ns,
+    } = ds;
+    let mut h = Sha256::new()
         .chain(b"longnail.coreconfig\0")
-        .chain(ds.core.as_bytes())
+        .chain(core.as_bytes())
         .chain(b"\0")
-        .chain(ds.to_yaml().as_bytes())
-        .chain(&ds.clock_ns.to_bits().to_le_bytes())
-        .chain(&chain_depth.to_bits().to_le_bytes())
+        .chain(&stages.to_le_bytes())
+        .chain(&writeback_stage.to_le_bytes())
+        .chain(&memory_stage.to_le_bytes())
+        .chain(&clock_ns.to_bits().to_le_bytes())
+        .chain(&(entries.len() as u64).to_le_bytes());
+    for (iface, t) in entries {
+        let Timing {
+            earliest,
+            latest,
+            latency,
+        } = t;
+        h = h
+            .chain(iface.as_bytes())
+            .chain(b"\0")
+            .chain(&earliest.to_le_bytes())
+            .chain(&latest.map_or(u64::MAX, u64::from).to_le_bytes())
+            .chain(&latency.to_le_bytes());
+    }
+    h.chain(&chain_depth.to_bits().to_le_bytes())
         .chain(&work_limit.to_le_bytes())
         .chain(b"\0")
         .chain(config.as_bytes())
@@ -365,6 +392,10 @@ mod tests {
         let mut faster = ds.clone();
         faster.clock_ns = ds.clock_ns * 0.5;
         assert_ne!(base, core_config_key(&faster, 6.0, 1000, "opt=0"), "clock");
+        let mut slower_read = ds.clone();
+        let timing = slower_read.entries.values_mut().next().unwrap();
+        timing.latency += 1;
+        assert_ne!(base, core_config_key(&slower_read, 6.0, 1000, "opt=0"), "interface timing");
         let other = crate::driver::builtin_datasheet("Piccolo").unwrap();
         assert_ne!(base, core_config_key(&other, 6.0, 1000, "opt=0"), "datasheet");
     }

@@ -9,10 +9,20 @@
 //! byte-identical to a clean baseline run. Poisoned-cache cells double as
 //! a recovery proof: sibling cells of the same ISAX share the poisoned
 //! entry and must still compile bit-exactly.
+//!
+//! The baseline and all 32 faulted matrices share one [`PipelineCache`]:
+//! fault-targeted cells use the stage store like any other cell, so the
+//! sweep also proves that an injected fault fires on a warm store and
+//! never parks a broken artifact there — a clean recompile afterwards is
+//! pure replay, byte-identical to the baseline. A second test runs the
+//! faulted matrix first, on a cold store, so a degraded artifact stored
+//! under a healthy key would reach the clean run that follows.
 
 use longnail::driver::{builtin_datasheet, eval_datasheets, MatrixResult};
 use longnail::isax_lib::all_isaxes;
-use longnail::{FaultKind, FaultPlan, Longnail, Severity};
+use longnail::{
+    CompiledIsax, FaultKind, FaultPlan, Longnail, MatrixCell, PipelineCache, Severity,
+};
 
 const JOBS: usize = 4;
 
@@ -27,6 +37,18 @@ fn cell_artifacts(m: &MatrixResult, k: usize) -> Option<(Vec<(String, String)>, 
             .collect();
         (svs, c.config.to_yaml())
     })
+}
+
+fn graph_names(c: &CompiledIsax) -> Vec<&str> {
+    c.graphs.iter().map(|g| g.name.as_str()).collect()
+}
+
+fn config_names(c: &CompiledIsax) -> Vec<&str> {
+    c.config
+        .functionalities
+        .iter()
+        .map(|f| f.name.as_str())
+        .collect()
 }
 
 #[test]
@@ -45,7 +67,9 @@ fn one_injected_fault_per_cell_leaves_the_other_cells_bit_exact() {
 fn sweep() {
     let isaxes = all_isaxes();
     let cores = eval_datasheets();
-    let baseline = Longnail::new().compile_matrix(&isaxes, &cores, JOBS);
+    let cells = MatrixCell::grid(&isaxes, &cores);
+    let pipe = PipelineCache::new();
+    let baseline = Longnail::new().compile_cells(&cells, JOBS, &pipe);
     assert_eq!(baseline.entries.len(), isaxes.len() * cores.len());
     assert_eq!(baseline.cell_faults, 0);
     assert_eq!(baseline.errors_recovered, 0);
@@ -71,7 +95,7 @@ fn sweep() {
         };
         let mut ln = Longnail::new();
         ln.fault_plan = Some(FaultPlan::single(&unit, &core, kind, stage).unwrap());
-        let m = ln.compile_matrix(&isaxes, &cores, JOBS);
+        let m = ln.compile_cells(&cells, JOBS, &pipe);
         let ctx = format!("cell {k} ({unit}×{core}, {kind}@{stage})");
 
         // The faulted cell degrades to exactly one Error/Fault diagnostic.
@@ -106,6 +130,9 @@ fn sweep() {
                 assert_eq!(bad[0].severity, Severity::Error, "{ctx}");
                 assert_eq!(m.cell_faults, 0, "{ctx}");
                 assert!(m.errors_recovered >= 1, "{ctx}");
+                // Even on a warm store the config lists only the units
+                // that have hardware.
+                assert_eq!(config_names(c), graph_names(c), "{ctx}");
             }
             (outcome, _) => panic!(
                 "{ctx}: unexpected outcome {:?}",
@@ -129,6 +156,69 @@ fn sweep() {
             });
             assert_eq!(got, want, "{ctx}: cell {j} artifacts diverged");
         }
+    }
+
+    // The faulted runs left nothing behind: a clean recompile over the
+    // same store is pure replay and byte-identical to the baseline.
+    let replay = Longnail::new().compile_cells(&cells, JOBS, &pipe);
+    for s in &replay.stage_stats {
+        assert_eq!(s.misses, 0, "clean replay recomputed stage `{}`", s.stage);
+    }
+    assert!(
+        replay.stage("verilog").hits > 0,
+        "clean replay saw no lookups"
+    );
+    for (k, e) in replay.entries.iter().enumerate() {
+        let cell = format!("{}×{}", e.isax, e.core);
+        assert_eq!(
+            cell_artifacts(&replay, k),
+            cell_artifacts(&baseline, k),
+            "{cell}"
+        );
+        let stripped = |m: &MatrixResult| {
+            m.entries[k]
+                .outcome
+                .as_ref()
+                .ok()
+                .map(|c| c.trace.stripped().to_jsonl())
+        };
+        assert_eq!(
+            stripped(&replay),
+            stripped(&baseline),
+            "{cell} stripped trace"
+        );
+    }
+}
+
+#[test]
+fn a_faulted_matrix_on_a_cold_store_leaves_no_degraded_artifacts() {
+    // Every cell exhausts its solver budget on its first unit, and the
+    // faulted run fills the store first: anything it parked under a
+    // healthy key would be served to the clean run that follows.
+    let isaxes = all_isaxes();
+    let cores = eval_datasheets();
+    let cells = MatrixCell::grid(&isaxes, &cores);
+    let baseline = Longnail::new().compile_cells(&cells, JOBS, &PipelineCache::new());
+    let plan: String = baseline
+        .entries
+        .iter()
+        .map(|e| format!("{}@{} budget-exhaustion\n", e.unit, e.core))
+        .collect();
+    let mut faulted = Longnail::new();
+    faulted.fault_plan = Some(FaultPlan::parse(&plan).unwrap());
+    let pipe = PipelineCache::new();
+    let m = faulted.compile_cells(&cells, JOBS, &pipe);
+    for e in &m.entries {
+        let c = e.outcome.as_ref().expect("budget exhaustion degrades");
+        assert_eq!(config_names(c), graph_names(c), "{}×{}", e.isax, e.core);
+    }
+    let clean = Longnail::new().compile_cells(&cells, JOBS, &pipe);
+    for k in 0..cells.len() {
+        assert_eq!(
+            cell_artifacts(&clean, k),
+            cell_artifacts(&baseline, k),
+            "cell {k} served a degraded artifact"
+        );
     }
 }
 
@@ -178,4 +268,22 @@ InstructionSet multi extends RV32I {
     }
     // The summary message mentions the full count, not just the first.
     assert!(err.message.contains("more error(s)"), "{}", err.message);
+}
+
+#[test]
+fn fault_plans_fire_on_the_single_compile_path() {
+    let (unit, src) = longnail::isax_lib::isax_source("dotprod").unwrap();
+    let ds = builtin_datasheet("ORCA").unwrap();
+    let compile = |kind| {
+        let mut ln = Longnail::new();
+        ln.fault_plan = Some(FaultPlan::parse(&format!("{unit}@ORCA {kind}")).unwrap());
+        ln.compile(&src, &unit, &ds).unwrap_err()
+    };
+    let err = compile(FaultKind::ParseError);
+    assert_eq!(err.severity, Severity::Error);
+    assert_eq!(err.frontend_errors.len(), 1);
+    assert_eq!(err.frontend_errors[0].code, "LN0101");
+    let err = compile(FaultKind::PoisonCache);
+    assert_eq!(err.severity, Severity::Fault);
+    assert_eq!(err.stage, "frontend");
 }

@@ -61,8 +61,8 @@ fn warm_no_change_recompile_is_pure_replay() {
     let ln = Longnail::new();
     let (isaxes, cores) = (small_isaxes(), small_cores());
     let pipe = PipelineCache::new();
-    let cold = ln.compile_matrix_cached(&isaxes, &cores, 2, &pipe);
-    let warm = ln.compile_matrix_cached(&isaxes, &cores, 2, &pipe);
+    let cold = ln.compile_cells(&MatrixCell::grid(&isaxes, &cores), 2, &pipe);
+    let warm = ln.compile_cells(&MatrixCell::grid(&isaxes, &cores), 2, &pipe);
     let warm_mix = mix(&warm);
     for stage in telemetry::STAGES {
         if stage == "opt" {
@@ -89,10 +89,10 @@ proptest! {
         let ln = Longnail::new();
         let (isaxes, cores) = (small_isaxes(), small_cores());
         let pipe = PipelineCache::new();
-        let cold = ln.compile_matrix_cached(&isaxes, &cores, 2, &pipe);
+        let cold = ln.compile_cells(&MatrixCell::grid(&isaxes, &cores), 2, &pipe);
         let mut edited = isaxes.clone();
         edited[edit_idx].2.push_str(&format!("\n// edit {seed:016x}\n"));
-        let warm = ln.compile_matrix_cached(&edited, &cores, 2, &pipe);
+        let warm = ln.compile_cells(&MatrixCell::grid(&edited, &cores), 2, &pipe);
         let cells = isaxes.len() * cores.len();
         let units = cold
             .entry(&isaxes[edit_idx].0, "ORCA")

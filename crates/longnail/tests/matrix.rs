@@ -1,10 +1,10 @@
-//! Parallel compile-matrix integration tests: the shared frontend cache
+//! Parallel compile-matrix integration tests: the shared pipeline cache
 //! must not change any observable output, and the worker count must not
 //! change anything at all — Verilog, YAML configs, diagnostics, and
 //! stripped traces are byte-identical for every `jobs` value.
 
 use longnail::driver::{builtin_datasheet, eval_datasheets};
-use longnail::{isax_lib, FrontendCache, Longnail};
+use longnail::{isax_lib, Longnail, MatrixCell, MatrixResult, PipelineCache};
 
 /// A small but representative slice of the Table 3 matrix: a plain
 /// instruction, an always-block ISAX with custom registers, and the
@@ -16,14 +16,27 @@ fn small_isaxes() -> Vec<(String, String, String)> {
         .collect()
 }
 
+fn compile_grid(
+    ln: &Longnail,
+    isaxes: &[(String, String, String)],
+    cores: &[scaiev::datasheet::VirtualDatasheet],
+    jobs: usize,
+) -> MatrixResult {
+    ln.compile_cells(
+        &MatrixCell::grid(isaxes, cores),
+        jobs,
+        &PipelineCache::new(),
+    )
+}
+
 #[test]
-fn cached_compile_matches_uncached_compile() {
+fn fresh_cache_compile_matches_shared_cache_compile() {
     let ln = Longnail::new();
-    let cache = FrontendCache::new();
+    let pipe = PipelineCache::new();
     let (unit, src) = isax_lib::isax_source("dotprod").unwrap();
     for ds in eval_datasheets() {
         let cold = ln.compile(&src, &unit, &ds).unwrap();
-        let warm = ln.compile_cached(&src, &unit, &ds, &cache).unwrap();
+        let warm = ln.compile_cell(&src, &unit, &ds, &pipe).unwrap();
         assert_eq!(
             cold.trace.stripped(),
             warm.trace.stripped(),
@@ -37,9 +50,9 @@ fn cached_compile_matches_uncached_compile() {
         assert_eq!(cold.diagnostics.events, warm.diagnostics.events);
     }
     // One source, four cores: one miss, three hits.
-    assert_eq!(cache.misses(), 1);
-    assert_eq!(cache.hits(), 3);
-    assert_eq!(cache.len(), 1);
+    let frontend = pipe.store().stage_stats("frontend");
+    assert_eq!((frontend.misses, frontend.hits), (1, 3));
+    assert_eq!(pipe.store().len("frontend"), 1);
 }
 
 #[test]
@@ -50,17 +63,17 @@ fn matrix_is_deterministic_across_worker_counts() {
         .iter()
         .map(|c| builtin_datasheet(c).unwrap())
         .collect();
-    let serial = ln.compile_matrix(&isaxes, &cores, 1);
-    let parallel = ln.compile_matrix(&isaxes, &cores, 4);
+    let serial = compile_grid(&ln, &isaxes, &cores, 1);
+    let parallel = compile_grid(&ln, &isaxes, &cores, 4);
     assert_eq!(serial.jobs, 1);
     assert_eq!(parallel.jobs, 4);
     assert_eq!(serial.entries.len(), isaxes.len() * cores.len());
     assert_eq!(parallel.entries.len(), serial.entries.len());
     // Cache totals are deterministic: one miss per ISAX, the rest hits.
     for m in [&serial, &parallel] {
-        assert_eq!(m.cache_misses, isaxes.len() as u64);
+        assert_eq!(m.stage("frontend").misses, isaxes.len() as u64);
         assert_eq!(
-            m.cache_hits,
+            m.stage("frontend").hits,
             (isaxes.len() * (cores.len() - 1)) as u64,
             "jobs = {}",
             m.jobs
@@ -94,15 +107,18 @@ fn frontend_failures_are_cached_and_reported_per_cell() {
         "InstructionSet broken { this is not CoreDSL }".to_string(),
     )];
     let cores = eval_datasheets();
-    let matrix = ln.compile_matrix(&isaxes, &cores, 2);
+    let matrix = compile_grid(&ln, &isaxes, &cores, 2);
     assert_eq!(matrix.entries.len(), cores.len());
     for e in &matrix.entries {
         let err = e.outcome.as_ref().unwrap_err();
         assert_eq!(err.stage, "frontend", "{}×{}", e.isax, e.core);
     }
     // The frontend ran once; every other cell reused the cached failure.
-    assert_eq!(matrix.cache_misses, 1);
-    assert_eq!(matrix.cache_hits, cores.len() as u64 - 1);
+    let frontend = matrix.stage("frontend");
+    assert_eq!(
+        (frontend.misses, frontend.hits),
+        (1, cores.len() as u64 - 1)
+    );
     assert_eq!(matrix.compiled().count(), 0);
 }
 
@@ -114,7 +130,7 @@ fn matrix_lookup_finds_cells_by_name() {
         .iter()
         .map(|c| builtin_datasheet(c).unwrap())
         .collect();
-    let matrix = ln.compile_matrix(&isaxes, &cores, 2);
+    let matrix = compile_grid(&ln, &isaxes, &cores, 2);
     let cell = matrix.entry("zol", "PicoRV32").expect("cell exists");
     let compiled = cell.outcome.as_ref().unwrap();
     assert_eq!(compiled.core, "PicoRV32");

@@ -6,7 +6,7 @@
 //! detail for humans.
 
 use longnail::driver::builtin_datasheet;
-use longnail::{isax_lib, Longnail, MatrixResult};
+use longnail::{isax_lib, Longnail, MatrixCell, MatrixResult, PipelineCache};
 use telemetry::aggregate::{summarize, MatrixSummary};
 use telemetry::{metrics, Trace};
 
@@ -24,7 +24,11 @@ fn compile_small(jobs: usize) -> MatrixResult {
         .iter()
         .map(|c| builtin_datasheet(c).unwrap())
         .collect();
-    ln.compile_matrix(&small_isaxes(), &cores, jobs)
+    ln.compile_cells(
+        &MatrixCell::grid(&small_isaxes(), &cores),
+        jobs,
+        &PipelineCache::new(),
+    )
 }
 
 /// Mirrors how `lnc --matrix` builds the summary: per-cell traces named
@@ -42,8 +46,8 @@ fn summarize_matrix(matrix: &MatrixResult) -> MatrixSummary {
         .collect();
     let mut summary = summarize(&cells);
     summary.jobs = matrix.jobs as u64;
-    summary.cache_hits = matrix.cache_hits;
-    summary.cache_misses = matrix.cache_misses;
+    summary.cache_hits = matrix.stage("frontend").hits;
+    summary.cache_misses = matrix.stage("frontend").misses;
     summary.cell_faults = matrix.cell_faults;
     summary.errors_recovered = matrix.errors_recovered;
     summary.pool_wall_ns = matrix.pool_stats.wall_ns;
@@ -110,8 +114,8 @@ fn cache_attribution_lives_in_cells_but_not_in_stripped_traces() {
     }
     // Serially the attribution is exact and matches the matrix totals:
     // one miss per ISAX source, a hit for every reuse.
-    assert_eq!(misses, matrix.cache_misses);
-    assert_eq!(hits, matrix.cache_hits);
+    assert_eq!(misses, matrix.stage("frontend").misses);
+    assert_eq!(hits, matrix.stage("frontend").hits);
     assert_eq!(misses, 3);
     assert_eq!(hits, 3);
 }

@@ -3,13 +3,17 @@
 //! both the static lint and the dynamic oracle.
 
 use longnail::driver::{builtin_datasheet, eval_datasheets};
-use longnail::{isax_lib, xcheck_compiled, xcheck_compiled_with, Longnail, XCheckOptions};
+use longnail::{
+    isax_lib, xcheck_compiled, xcheck_compiled_with, Longnail, MatrixCell, PipelineCache,
+    XCheckOptions,
+};
 use rtl::EmitOptions;
 
 #[test]
 fn full_evaluation_matrix_is_xcheck_clean() {
     let ln = Longnail::new();
-    let matrix = ln.compile_matrix(&isax_lib::all_isaxes(), &eval_datasheets(), 4);
+    let cells = MatrixCell::grid(&isax_lib::all_isaxes(), &eval_datasheets());
+    let matrix = ln.compile_cells(&cells, 4, &PipelineCache::new());
     let mut cells = 0;
     for (entry, compiled) in matrix.compiled() {
         let report = xcheck_compiled(compiled);

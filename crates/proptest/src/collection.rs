@@ -2,7 +2,7 @@
 
 use crate::{Strategy, TestRng};
 
-/// Accepted length specifications for [`vec`]: a fixed `usize`,
+/// Accepted length specifications for [`vec()`]: a fixed `usize`,
 /// `Range<usize>`, or `RangeInclusive<usize>`.
 pub trait IntoSizeRange {
     /// Returns the inclusive `(min, max)` length bounds.

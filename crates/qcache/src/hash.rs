@@ -1,13 +1,11 @@
 //! Dependency-free SHA-256.
 //!
-//! Every cache key in the incremental pipeline is a 256-bit digest. The
-//! previous scheme (64-bit FNV-1a, kept in `longnail::driver::source_hash`
-//! for non-key uses such as schema fingerprints) is fine for hash-map
-//! bucketing but too narrow for content addressing: a persistent cache
-//! that survives across processes must make accidental collisions
-//! astronomically unlikely, since a collision silently serves the wrong
-//! artifact. SHA-256 is hand-rolled here (FIPS 180-4) so the crate stays
-//! dependency-free.
+//! The pipeline's one content hash: every cache key is a 256-bit digest,
+//! and the on-disk schema fingerprint is the first 8 bytes of one. A
+//! persistent cache that survives across processes must make accidental
+//! collisions astronomically unlikely, since a collision silently serves
+//! the wrong artifact; a 64-bit hash is too narrow for that. SHA-256 is
+//! hand-rolled here (FIPS 180-4) so the crate stays dependency-free.
 
 use std::fmt;
 

@@ -1,7 +1,6 @@
 //! In-memory, exactly-once stage store.
 //!
-//! Generalizes the frontend-only `FrontendCache` from the earlier
-//! pipeline: any stage can park a cloneable artifact under a
+//! Any pipeline stage can park a cloneable artifact under a
 //! `(stage, key)` pair. The first thread to ask for a key computes it;
 //! concurrent threads asking for the same key block on a condvar until
 //! the value is ready (exactly-once semantics — important because a

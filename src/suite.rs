@@ -7,19 +7,19 @@
 //! The crate itself carries one cross-crate smoke test: a slice of the
 //! evaluation matrix compiled serially and through the worker pool, with
 //! the deterministic outputs compared byte for byte. It is the cheapest
-//! end-to-end check that the pipeline, the frontend cache, and the pool
+//! end-to-end check that the pipeline, its stage cache, and the pool
 //! still agree.
 
 use longnail::driver::eval_datasheets;
-use longnail::{isax_lib, Longnail, MatrixResult};
+use longnail::{isax_lib, Longnail, MatrixCell, MatrixResult, PipelineCache};
 
 /// Compiles `isax_names` (Table 3 names) for every evaluation core with
-/// `jobs` workers, sharing one frontend cache across all cells.
+/// `jobs` workers, sharing one pipeline cache across all cells.
 ///
 /// # Panics
 ///
 /// Panics on an unknown ISAX name (tests want loud failures).
-pub fn compile_matrix_slice(isax_names: &[&str], jobs: usize) -> MatrixResult {
+pub fn compile_slice(isax_names: &[&str], jobs: usize) -> MatrixResult {
     let isaxes: Vec<(String, String, String)> = isax_names
         .iter()
         .map(|name| {
@@ -27,7 +27,8 @@ pub fn compile_matrix_slice(isax_names: &[&str], jobs: usize) -> MatrixResult {
             (name.to_string(), unit, src)
         })
         .collect();
-    Longnail::new().compile_matrix(&isaxes, &eval_datasheets(), jobs)
+    let cells = MatrixCell::grid(&isaxes, &eval_datasheets());
+    Longnail::new().compile_cells(&cells, jobs, &PipelineCache::new())
 }
 
 #[cfg(test)]
@@ -36,13 +37,18 @@ mod tests {
 
     #[test]
     fn matrix_smoke_serial_and_parallel_agree() {
-        let serial = compile_matrix_slice(&["autoinc", "sbox"], 1);
-        let parallel = compile_matrix_slice(&["autoinc", "sbox"], 4);
+        let serial = compile_slice(&["autoinc", "sbox"], 1);
+        let parallel = compile_slice(&["autoinc", "sbox"], 4);
         assert_eq!(serial.entries.len(), 8); // 2 ISAXes × 4 cores
-        assert_eq!(serial.cache_misses, 2);
-        assert_eq!(serial.cache_hits, 6);
-        assert_eq!(parallel.cache_misses, serial.cache_misses);
-        assert_eq!(parallel.cache_hits, serial.cache_hits);
+        for m in [&serial, &parallel] {
+            let frontend = m.stage("frontend");
+            assert_eq!(
+                (frontend.misses, frontend.hits),
+                (2, 6),
+                "jobs = {}",
+                m.jobs
+            );
+        }
         for (a, b) in serial.entries.iter().zip(&parallel.entries) {
             assert_eq!((a.isax.as_str(), a.core.as_str()), (b.isax.as_str(), b.core.as_str()));
             let (ca, cb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());

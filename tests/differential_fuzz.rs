@@ -469,14 +469,12 @@ fn random_programs_agree_across_all_three_semantics() {
         let src = make_source(&generator.behavior());
         // The generator only emits well-typed programs; a frontend error
         // here is itself a bug worth failing on.
-        let module = coredsl::Frontend::new()
-            .compile_str(&src, "fuzzed")
-            .unwrap_or_else(|e| panic!("seed {seed}: frontend rejected\n{src}\n{e}"));
         let compiled = ln
-            .compile_module(module.clone(), &ds)
-            .unwrap_or_else(|e| panic!("seed {seed}: flow failed: {e}"));
+            .compile(&src, "fuzzed", &ds)
+            .unwrap_or_else(|e| panic!("seed {seed}: flow failed\n{src}\n{e}"));
+        let module = &compiled.module;
         let g = compiled.graph("fuzz").unwrap();
-        let interp = Interp::new(&module);
+        let interp = Interp::new(module);
 
         let mut operand_rng = StdRng::seed_from_u64(seed ^ 0xfeed);
         for _ in 0..4 {
@@ -484,7 +482,7 @@ fn random_programs_agree_across_all_three_semantics() {
             let rs2: u32 = operand_rng.random();
 
             // 1. Golden interpreter.
-            let mut st = SimpleState::new(&module);
+            let mut st = SimpleState::new(module);
             st.set("X", 1, ApInt::from_u64(rs1 as u64, 32));
             st.set("X", 2, ApInt::from_u64(rs2 as u64, 32));
             interp
