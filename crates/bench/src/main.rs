@@ -5,8 +5,8 @@
 //! the workspace root with two sections:
 //!
 //! * `deterministic` — work counters that are a pure function of the
-//!   input and the algorithms: solver pivots / branch-and-bound nodes /
-//!   repair rounds, cache hit/miss totals, degradation counters, the
+//!   input and the algorithms: solver lifts / augmenting paths / repair
+//!   rounds, cache hit/miss totals, degradation counters, the
 //!   per-stage op counters summed across the matrix, a per-cell
 //!   solver-work breakdown, and the `incremental` per-stage hit/miss
 //!   profile of a cold → warm no-change → warm one-edit recompile
@@ -15,7 +15,9 @@
 //!   critical path against -O0, with the strict area win asserted).
 //!   Byte-identical on every run of the same code.
 //! * `wall` — wall-clock timings and the cache/pool/incremental
-//!   speedups. Machine- and load-dependent, informational only (except
+//!   speedups, with the machine's available parallelism (`cpus`) and the
+//!   parallel runs' worker count (`workers`) needed to read them.
+//!   Machine- and load-dependent, informational only (except
 //!   the warm no-change replay, which ci.sh requires to be at least 4×
 //!   faster than the cold compile — a regression there means the warm
 //!   path silently recomputes).
@@ -37,6 +39,9 @@ use telemetry::aggregate;
 /// Allowed relative wall-time drift against the baseline before the
 /// (non-fatal) drift warning fires.
 const WALL_TOLERANCE: f64 = 0.5;
+
+/// Worker count of the parallel matrix runs.
+const WORKERS: usize = 4;
 
 /// Workspace-root path of the freshly written benchmark result.
 const BENCH_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_compile.json");
@@ -92,22 +97,22 @@ fn bench_json() -> String {
     let serial = ln.compile_cells(&cells, 1, &PipelineCache::new());
     let serial_ns = elapsed_ns(t0);
     let t0 = Instant::now();
-    let parallel = ln.compile_cells(&cells, 4, &PipelineCache::new());
+    let parallel = ln.compile_cells(&cells, WORKERS, &PipelineCache::new());
     let parallel_ns = elapsed_ns(t0);
     // The cache totals are part of the determinism contract: identical
     // for every worker count.
     let (frontend, fe4) = (serial.stage("frontend"), parallel.stage("frontend"));
     assert_eq!((frontend.hits, frontend.misses), (fe4.hits, fe4.misses));
 
-    // Incremental profile: cold, warm no-change, warm one-edit — all
+    // The incremental profile: cold, warm no-change, warm one-edit — all
     // through one shared pipeline cache, the way `lnc serve` and warm
     // matrix recompiles run.
     let pipe = PipelineCache::new();
     let t0 = Instant::now();
-    let cold = ln.compile_cells(&cells, 4, &pipe);
+    let cold = ln.compile_cells(&cells, WORKERS, &pipe);
     let cold_ns = elapsed_ns(t0);
     let t0 = Instant::now();
-    let warm = ln.compile_cells(&cells, 4, &pipe);
+    let warm = ln.compile_cells(&cells, WORKERS, &pipe);
     let warm_ns = elapsed_ns(t0);
     let warm_misses: u64 = warm.stage_stats.iter().map(|s| s.misses).sum();
     assert_eq!(warm_misses, 0, "warm no-change recompile must be pure replay");
@@ -117,7 +122,7 @@ fn bench_json() -> String {
     let mut edited = isaxes.clone();
     edited[0].2.push_str("\n// incremental bench edit\n");
     let t0 = Instant::now();
-    let edit = ln.compile_cells(&MatrixCell::grid(&edited, &cores), 4, &pipe);
+    let edit = ln.compile_cells(&MatrixCell::grid(&edited, &cores), WORKERS, &pipe);
     let edit_ns = elapsed_ns(t0);
     assert_eq!(
         edit.stage("frontend").misses,
@@ -136,7 +141,7 @@ fn bench_json() -> String {
     // regression even if every counter still matches some stale baseline.
     let o2 =
         ln.with_opt_level(longnail::OptLevel::O2)
-            .compile_cells(&cells, 4, &PipelineCache::new());
+            .compile_cells(&cells, WORKERS, &PipelineCache::new());
     let lib = eda::TechLibrary::new();
     let estimate = |m: &MatrixResult| {
         let (mut area, mut crit) = (0.0f64, 0.0f64);
@@ -194,10 +199,10 @@ fn bench_json() -> String {
         use telemetry::metrics as m;
         let _ = write!(
             json,
-            "      {{\"cell\": \"{cell}\", \"pivots\": {}, \"nodes\": {}, \"rounds\": {}, \
+            "      {{\"cell\": \"{cell}\", \"lifts\": {}, \"augments\": {}, \"rounds\": {}, \
              \"fallbacks\": {}, \"ops\": {}, \"verilog_bytes\": {}}}",
-            trace.counter_total(m::SOLVER_PIVOTS),
-            trace.counter_total(m::SOLVER_NODES),
+            trace.counter_total(m::SOLVER_LIFTS),
+            trace.counter_total(m::SOLVER_AUGMENTS),
             trace.counter_total(m::SOLVER_ROUNDS),
             trace.counter_total(m::SCHED_FALLBACK),
             trace.counter_total(m::PROBLEM_OPS),
@@ -242,9 +247,11 @@ fn bench_json() -> String {
     let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;
     let warm_speedup = cold_ns as f64 / warm_ns.max(1) as f64;
     let edit_speedup = cold_ns as f64 / edit_ns.max(1) as f64;
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = write!(
         json,
-        "  \"wall\": {{\"serial_wall_ns\": {serial_ns}, \"parallel_wall_ns\": {parallel_ns}, \
+        "  \"wall\": {{\"cpus\": {cpus}, \"workers\": {WORKERS},\n           \
+         \"serial_wall_ns\": {serial_ns}, \"parallel_wall_ns\": {parallel_ns}, \
          \"speedup\": {speedup:.3},\n           \"cold_wall_ns\": {cold_ns}, \
          \"warm_wall_ns\": {warm_ns}, \"warm_speedup\": {warm_speedup:.3},\n           \
          \"edit_wall_ns\": {edit_ns}, \"edit_speedup\": {edit_speedup:.3}}}\n}}\n"

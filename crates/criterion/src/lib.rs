@@ -7,6 +7,11 @@
 //! [`criterion_main!`] macros. It measures with [`std::time::Instant`] and
 //! prints a simple `name ... median ns/iter` line — no statistics engine,
 //! no plots — which is enough to keep `cargo bench` runnable offline.
+//!
+//! Like real criterion, a bench binary measures only when `cargo bench`
+//! passes `--bench` on its command line; otherwise (`cargo test --benches`)
+//! it is in test mode and runs each routine once, so test runs stay quick.
+//! Bench targets using it must set `harness = false`, or `main` never runs.
 
 use std::hint::black_box as std_black_box;
 use std::time::Instant;
@@ -28,11 +33,16 @@ pub enum BatchSize {
 #[derive(Debug, Clone)]
 pub struct Criterion {
     sample_size: usize,
+    /// Run each routine once without reporting a time.
+    test_mode: bool,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion {
+            sample_size: 10,
+            test_mode: false,
+        }
     }
 }
 
@@ -43,16 +53,29 @@ impl Criterion {
         self
     }
 
-    /// Runs one benchmark and prints its median time per iteration.
+    /// Enters test mode unless the command line carries `--bench`, as
+    /// real criterion does. [`criterion_group!`] applies this to every
+    /// group's configuration.
+    pub fn configure_from_args(mut self) -> Self {
+        self.test_mode = !std::env::args().any(|a| a == "--bench");
+        self
+    }
+
+    /// Runs one benchmark and prints its median time per iteration; in
+    /// test mode, runs the routine once and prints `ok`.
     pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
         let mut b = Bencher {
             samples: Vec::new(),
-            sample_size: self.sample_size,
+            sample_size: if self.test_mode { 1 } else { self.sample_size },
         };
         f(&mut b);
+        if self.test_mode {
+            println!("test: {id} ... ok");
+            return self;
+        }
         b.samples.sort_unstable();
         let median = b.samples.get(b.samples.len() / 2).copied().unwrap_or(0);
         println!("bench: {id:<40} {median:>12} ns/iter ({} samples)", b.samples.len());
@@ -97,19 +120,21 @@ impl Bencher {
 macro_rules! criterion_group {
     (name = $name:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $cfg;
+            let mut criterion: $crate::Criterion = $cfg.configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
     ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $( $target(&mut criterion); )+
+        $crate::criterion_group! {
+            name = $name;
+            config = $crate::Criterion::default();
+            targets = $($target),+
         }
     };
 }
 
-/// Declares the `main` entry point running the given groups.
+/// Declares the `main` entry point running the given groups: measured
+/// under `cargo bench`, each routine once otherwise (see the crate docs).
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -139,5 +164,17 @@ mod tests {
     #[test]
     fn group_runs() {
         benches();
+    }
+
+    #[test]
+    fn test_mode_runs_each_routine_once() {
+        let mut runs = 0;
+        let mut c = Criterion::default().sample_size(5);
+        c.test_mode = true;
+        c.bench_function("counted", |b| b.iter(|| runs += 1));
+        assert_eq!(runs, 1);
+        c.test_mode = false;
+        c.bench_function("counted", |b| b.iter(|| runs += 1));
+        assert_eq!(runs, 6);
     }
 }

@@ -1,243 +1,21 @@
-//! Branch-and-bound over warm-started LP re-optimization.
-//!
-//! [`solve`] first runs [`crate::presolve`] (which alone solves fully
-//! bounded models), then solves the reduced LP relaxation once and
-//! branches with **bound-delta nodes**: each node clones its parent's
-//! optimal simplex tableau, appends a single branching bound as a row
-//! ([`Simplex::add_le_row`]) and repairs feasibility with a dual-simplex
-//! pass — instead of cloning the whole [`Model`] and re-solving from
-//! scratch. Nodes are explored in deterministic **best-bound** order: the
-//! node whose parent relaxation promised the best objective goes first
-//! (ties broken by creation order), so the incumbent is provably optimal
-//! as soon as no open node's bound beats it.
-//!
-//! The pre-warm-start algorithm survives as [`solve_naive`] — the
-//! reference the property tests compare objectives and pivot counts
-//! against.
+//! Naive depth-first branch-and-bound: every node clones the whole
+//! [`Model`] and re-solves its LP relaxation from scratch with the cold
+//! simplex. Slow, simple, and the reference the scheduler's property tests
+//! compare against.
 
-use crate::budget::{Budget, WorkKind};
 use crate::model::{Model, Sense, Solution, SolveError};
-use crate::presolve::{self, Presolve, Presolved};
 use crate::rational::Rational;
-use crate::simplex::{self, Simplex};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::simplex;
 
-/// Solves `model` to integer optimality, charging one [`WorkKind::Node`]
-/// per explored search node (plus the pivots of each node's LP
-/// re-optimization) against `budget`.
-///
-/// Scheduling models present as difference-constraint systems, which
-/// presolve detects; their LP vertices are integral and no node is ever
-/// opened, so budget exhaustion here indicates a pathological model.
+/// Solves `model` to integer optimality.
 ///
 /// # Errors
 ///
 /// Returns [`SolveError::Infeasible`] if no integer point satisfies the
-/// constraints, [`SolveError::Unbounded`] if the relaxation is unbounded,
-/// [`SolveError::Exhausted`] when the budget runs out mid-search, or
-/// [`SolveError::Numerical`] if a vertex resists exact reconstruction.
-pub fn solve(model: &Model, budget: &Budget) -> Result<Solution, SolveError> {
-    match presolve::presolve(model, budget)? {
-        Presolve::Solved(values) => {
-            let objective = model
-                .objective
-                .iter()
-                .enumerate()
-                .fold(Rational::ZERO, |acc, (i, &c)| acc + c * values[i]);
-            Ok(Solution { values, objective })
-        }
-        Presolve::Reduced(pre) => {
-            let mut root = Simplex::new(&pre.reduced);
-            root.optimize(budget)?;
-            integerize(&pre, &root, model, budget)
-        }
-    }
-}
-
-/// Drives an optimized root tableau to integer optimality and lifts the
-/// result back to the original variable space. Shared between
-/// [`solve`] and the incremental warm-round path
-/// ([`crate::incremental::Incremental`]).
-pub(crate) fn integerize(
-    pre: &Presolved,
-    root: &Simplex,
-    original: &Model,
-    budget: &Budget,
-) -> Result<Solution, SolveError> {
-    let reduced = &pre.reduced;
-    let rsol = root.solution(reduced)?;
-    if let Some(sol) = integral(reduced, &rsol) {
-        return Ok(pre.restore(original, &sol));
-    }
-    debug_assert!(
-        !pre.difference_system,
-        "difference-system vertices must be integral"
-    );
-    let minimize = reduced.sense == Sense::Minimize;
-    let better = |a: Rational, b: Rational| if minimize { a < b } else { a > b };
-
-    let mut incumbent: Option<Solution> = None;
-    let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-    let mut next_id = 0u64;
-    push_children(&mut heap, root, &rsol, reduced, minimize, &mut next_id);
-    while let Some(mut node) = heap.pop() {
-        budget
-            .charge(WorkKind::Node)
-            .map_err(SolveError::Exhausted)?;
-        if let Some(inc) = &incumbent {
-            // The child's relaxation cannot beat its parent's bound.
-            if !better(node.key.bound, inc.objective) {
-                continue;
-            }
-        }
-        // Apply the branching bound as a row and repair with dual simplex.
-        if node.up {
-            node.state
-                .add_le_row(&[(node.var, -1.0)], -(node.bound as f64));
-        } else {
-            node.state.add_le_row(&[(node.var, 1.0)], node.bound as f64);
-        }
-        let relaxed = match node.state.reoptimize(budget) {
-            Ok(()) => node.state.solution(reduced)?,
-            Err(SolveError::Infeasible) => continue,
-            Err(e) => return Err(e),
-        };
-        if let Some(inc) = &incumbent {
-            if !better(relaxed.objective, inc.objective) {
-                continue; // pruned by bound
-            }
-        }
-        match integral(reduced, &relaxed) {
-            // Strictly better than the incumbent (checked above).
-            Some(sol) => incumbent = Some(sol),
-            None => push_children(
-                &mut heap,
-                &node.state,
-                &relaxed,
-                reduced,
-                minimize,
-                &mut next_id,
-            ),
-        }
-    }
-    incumbent
-        .map(|sol| pre.restore(original, &sol))
-        .ok_or(SolveError::Infeasible)
-}
-
-/// An open search node: the parent's optimal tableau plus one pending
-/// branching bound, applied lazily when the node is popped.
-struct Node {
-    state: Simplex,
-    /// Reduced-space variable index being branched on.
-    var: usize,
-    /// `true` for the `x >= ceil` child, `false` for `x <= floor`.
-    up: bool,
-    bound: i128,
-    key: NodeKey,
-}
-
-/// Best-bound ordering key. `BinaryHeap` pops the maximum, so `cmp` ranks
-/// the *most promising* node greatest: the best parent bound first, then
-/// the oldest node (smallest id) among ties.
-#[derive(PartialEq, Eq)]
-struct NodeKey {
-    bound: Rational,
-    minimize: bool,
-    id: u64,
-}
-
-impl Ord for NodeKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let by_bound = if self.minimize {
-            other.bound.cmp(&self.bound) // smaller bound is better
-        } else {
-            self.bound.cmp(&other.bound)
-        };
-        by_bound.then(other.id.cmp(&self.id)) // older node is better
-    }
-}
-
-impl PartialOrd for NodeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Node {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for Node {}
-
-impl Ord for Node {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-impl PartialOrd for Node {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Pushes the two children for the first fractional integer variable of
-/// `sol`, sharing `state` (the parent's optimal tableau) by clone.
-fn push_children(
-    heap: &mut BinaryHeap<Node>,
-    state: &Simplex,
-    sol: &Solution,
-    reduced: &Model,
-    minimize: bool,
-    next_id: &mut u64,
-) {
-    let (var, x) = reduced
-        .vars
-        .iter()
-        .zip(&sol.values)
-        .enumerate()
-        .find_map(|(i, (v, x))| (v.integer && !x.is_integer()).then_some((i, *x)))
-        .expect("push_children called with an integral solution");
-    for (up, bound) in [(false, x.floor()), (true, x.ceil())] {
-        heap.push(Node {
-            state: state.clone(),
-            var,
-            up,
-            bound,
-            key: NodeKey {
-                bound: sol.objective,
-                minimize,
-                id: *next_id,
-            },
-        });
-        *next_id += 1;
-    }
-}
-
-/// Returns the solution if every integer variable is integral.
-fn integral(model: &Model, sol: &Solution) -> Option<Solution> {
-    let ok = model
-        .vars
-        .iter()
-        .zip(&sol.values)
-        .all(|(v, x)| !v.integer || x.is_integer());
-    ok.then(|| sol.clone())
-}
-
-/// The pre-warm-start reference algorithm: no presolve, and every node
-/// clones the whole `Model` and re-solves its LP from scratch. Kept as
-/// the oracle for the warm-start property tests (equal objectives, never
-/// fewer pivots than the warm path).
-///
-/// # Errors
-///
-/// Same contract as [`solve`].
-pub fn solve_naive(model: &Model, budget: &Budget) -> Result<Solution, SolveError> {
-    let root = simplex::solve_lp(model, budget)?;
+/// constraints, or [`SolveError::Unbounded`] if the relaxation is
+/// unbounded.
+pub fn solve(model: &Model) -> Result<Solution, SolveError> {
+    let root = simplex::solve_lp(model)?;
     if let Some(sol) = integral(model, &root) {
         return Ok(sol);
     }
@@ -248,10 +26,7 @@ pub fn solve_naive(model: &Model, budget: &Budget) -> Result<Solution, SolveErro
     let mut stack: Vec<Model> = Vec::new();
     branch(model, &root, &mut stack);
     while let Some(node) = stack.pop() {
-        budget
-            .charge(WorkKind::Node)
-            .map_err(SolveError::Exhausted)?;
-        let relaxed = match simplex::solve_lp(&node, budget) {
+        let relaxed = match simplex::solve_lp(&node) {
             Ok(s) => s,
             Err(SolveError::Infeasible) => continue,
             Err(e) => return Err(e),
@@ -277,8 +52,7 @@ pub fn solve_naive(model: &Model, budget: &Budget) -> Result<Solution, SolveErro
     incumbent.ok_or(SolveError::Infeasible)
 }
 
-/// Pushes the two child models for the first fractional integer variable
-/// (naive path only).
+/// Pushes the two child models for the first fractional integer variable.
 fn branch(model: &Model, sol: &Solution, stack: &mut Vec<Model>) {
     let (i, x) = model
         .vars
@@ -302,9 +76,19 @@ fn branch(model: &Model, sol: &Solution, stack: &mut Vec<Model>) {
     stack.push(up);
 }
 
+/// Returns the solution if every integer variable is integral.
+fn integral(model: &Model, sol: &Solution) -> Option<Solution> {
+    let ok = model
+        .vars
+        .iter()
+        .zip(&sol.values)
+        .all(|(v, x)| !v.integer || x.is_integer());
+    ok.then(|| sol.clone())
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{Budget, Model, Rational, Sense, SolveError, WorkKind};
+    use crate::{Model, Rational, Sense, SolveError};
 
     #[test]
     fn rounds_fractional_relaxation() {
@@ -375,10 +159,10 @@ mod tests {
     }
 
     #[test]
-    fn difference_constraints_do_not_branch() {
-        // A Figure-7-shaped model: start times + lifetimes. Presolve lifts
-        // the lower bounds to the ASAP times and the all-positive phase-2
-        // costs keep the slack basis optimal: zero nodes, zero pivots.
+    fn difference_constraints_solve_at_integral_vertices() {
+        // A Figure-7-shaped model: start times over a precedence DAG. The
+        // constraint matrix is totally unimodular, so the root relaxation
+        // is already integral.
         let mut m = Model::new(Sense::Minimize);
         let t: Vec<_> = (0..5).map(|i| m.int_var(&format!("t{i}"))).collect();
         for &v in &t {
@@ -388,59 +172,14 @@ mod tests {
         for &(a, b) in &[(0, 1), (1, 3), (2, 3), (3, 4)] {
             m.constraint_le(&[(t[a], 1), (t[b], -1)], -1);
         }
-        let budget = Budget::unlimited();
-        let sol = m.solve_with_budget(&budget).unwrap();
+        let relaxed = m.solve_relaxation().unwrap();
+        assert!(relaxed.values.iter().all(Rational::is_integer));
+        let sol = m.solve().unwrap();
         assert_eq!(sol.value(t[0]), 0);
         assert_eq!(sol.value(t[1]), 1);
         assert_eq!(sol.value(t[2]), 0);
         assert_eq!(sol.value(t[3]), 2);
         assert_eq!(sol.value(t[4]), 3);
-        assert_eq!(budget.count(WorkKind::Node), 0);
-    }
-
-    #[test]
-    fn warm_nodes_match_naive_objective() {
-        // A model that genuinely branches: both paths must agree on the
-        // optimum, and the warm path must not pivot more than the naive
-        // clone-and-re-solve path.
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.int_var("a");
-        let b = m.int_var("b");
-        let c = m.int_var("c");
-        m.obj(a, 7);
-        m.obj(b, 5);
-        m.obj(c, 4);
-        m.constraint_le(&[(a, 4), (b, 3), (c, 2)], 9);
-        m.constraint_le(&[(a, 1), (b, 2), (c, 3)], 7);
-        let warm = Budget::unlimited();
-        let naive = Budget::unlimited();
-        let ws = crate::branch_bound::solve(&m, &warm).unwrap();
-        let ns = crate::branch_bound::solve_naive(&m, &naive).unwrap();
-        assert_eq!(ws.objective, ns.objective);
-        assert!(m.is_feasible(&ws.values));
-        assert!(
-            warm.count(WorkKind::Pivot) <= naive.count(WorkKind::Pivot),
-            "warm {} > naive {}",
-            warm.count(WorkKind::Pivot),
-            naive.count(WorkKind::Pivot)
-        );
-    }
-
-    #[test]
-    fn tiny_budget_reports_exhaustion() {
-        // Needs at least one unit of work; a zero budget must fail with a
-        // typed error, never a panic.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.int_var("x");
-        m.obj(x, 1);
-        m.constraint_ge(&[(x, 1)], 3);
-        let budget = crate::Budget::new(0);
-        match m.solve_with_budget(&budget) {
-            Err(SolveError::Exhausted(e)) => assert_eq!(e.limit, 0),
-            other => panic!("expected exhaustion, got {other:?}"),
-        }
-        // The same model solves fine under the default budget.
-        assert_eq!(m.solve().unwrap().value(x), 3);
     }
 
     #[test]

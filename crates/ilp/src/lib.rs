@@ -1,22 +1,16 @@
-//! An exact integer linear programming solver.
+//! A general integer linear programming solver: the reference oracle for
+//! the scheduler.
 //!
 //! The paper schedules the *LongnailProblem* with the ILP of Figure 7,
-//! solved by Cbc via OR-Tools. This crate is the from-scratch replacement:
-//! a two-phase primal simplex over exact rational arithmetic
-//! ([`rational::Rational`]) with branch-and-bound for integrality
-//! ([`branch_bound`]).
+//! solved by Cbc via OR-Tools. The compiler itself solves that ILP with the
+//! exact difference-constraint solver in `sched::lift`; this crate is the
+//! general solver its property tests check against: a cold two-phase
+//! primal simplex ([`simplex::solve_lp`]) with naive depth-first
+//! branch-and-bound for integrality ([`branch_bound::solve`]). Solutions
+//! are exact rationals ([`rational::Rational`]), re-verified with
+//! [`Model::is_feasible`] by the tests.
 //!
-//! The scheduling ILPs are built from difference constraints and variable
-//! bounds, so their LP relaxations are integral (totally unimodular
-//! constraint matrices) and branch-and-bound rarely branches — but the
-//! solver is general and handles arbitrary models.
-//!
-//! Before the first pivot, every solve runs an exact [`presolve`] pass
-//! (bound propagation, variable fixing, redundant-row elimination,
-//! difference-system detection); repeated solves of a growing model can
-//! go through [`Incremental`], which keeps the final simplex basis
-//! between rounds and re-optimizes added rows with a dual-simplex step
-//! instead of solving from scratch.
+//! It is a dev-dependency only; no production crate links it.
 //!
 //! # Examples
 //!
@@ -36,15 +30,9 @@
 //! ```
 
 pub mod branch_bound;
-pub mod budget;
-pub mod incremental;
 pub mod model;
-pub mod presolve;
 pub mod rational;
 pub mod simplex;
 
-pub use budget::{Budget, Exhausted, WorkKind};
-pub use incremental::Incremental;
 pub use model::{Constraint, ConstraintOp, Model, Sense, Solution, SolveError, VarId};
-pub use presolve::{Presolve, Presolved, PRESOLVE_BATCH};
 pub use rational::Rational;

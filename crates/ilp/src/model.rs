@@ -1,7 +1,6 @@
 //! Model-building API for (integer) linear programs.
 
 use crate::branch_bound;
-use crate::budget::{Budget, Exhausted};
 use crate::rational::Rational;
 use std::fmt;
 
@@ -51,14 +50,6 @@ pub enum SolveError {
     Infeasible,
     /// The objective is unbounded over the feasible region.
     Unbounded,
-    /// The work budget ran out before the search finished. The model may
-    /// still be feasible; callers should fall back to a cheaper algorithm.
-    Exhausted(Exhausted),
-    /// A floating-point tableau value could not be reconstructed as an
-    /// exact rational (e.g. a vertex coordinate outside the `i128` range).
-    /// The model may be fine; callers should fall back to a cheaper
-    /// algorithm rather than trust a silently saturated value.
-    Numerical(String),
 }
 
 impl fmt::Display for SolveError {
@@ -66,8 +57,6 @@ impl fmt::Display for SolveError {
         match self {
             SolveError::Infeasible => f.write_str("model is infeasible"),
             SolveError::Unbounded => f.write_str("objective is unbounded"),
-            SolveError::Exhausted(e) => e.fmt(f),
-            SolveError::Numerical(m) => write!(f, "numerical failure: {m}"),
         }
     }
 }
@@ -203,49 +192,22 @@ impl Model {
     }
 
     /// Solves the model: LP relaxation by two-phase simplex, then
-    /// branch-and-bound on fractional integer variables. Runs under a
-    /// fresh [`Budget::default`]; exceeding it returns
-    /// [`SolveError::Exhausted`] rather than panicking.
+    /// depth-first branch-and-bound on fractional integer variables.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::Infeasible`], [`SolveError::Unbounded`], or
-    /// [`SolveError::Exhausted`].
+    /// Returns [`SolveError::Infeasible`] or [`SolveError::Unbounded`].
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        branch_bound::solve(self, &Budget::default())
+        branch_bound::solve(self)
     }
 
-    /// Like [`Model::solve`], but charging work against a caller-supplied
-    /// budget (shared across re-solves of related models).
+    /// Solves only the LP relaxation (integrality dropped).
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::Infeasible`], [`SolveError::Unbounded`], or
-    /// [`SolveError::Exhausted`].
-    pub fn solve_with_budget(&self, budget: &Budget) -> Result<Solution, SolveError> {
-        branch_bound::solve(self, budget)
-    }
-
-    /// Solves only the LP relaxation (integrality dropped), under a fresh
-    /// default budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Infeasible`], [`SolveError::Unbounded`], or
-    /// [`SolveError::Exhausted`].
+    /// Returns [`SolveError::Infeasible`] or [`SolveError::Unbounded`].
     pub fn solve_relaxation(&self) -> Result<Solution, SolveError> {
-        crate::simplex::solve_lp(self, &Budget::default())
-    }
-
-    /// Like [`Model::solve_relaxation`], but against a caller-supplied
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Infeasible`], [`SolveError::Unbounded`], or
-    /// [`SolveError::Exhausted`].
-    pub fn solve_relaxation_with_budget(&self, budget: &Budget) -> Result<Solution, SolveError> {
-        crate::simplex::solve_lp(self, budget)
+        crate::simplex::solve_lp(self)
     }
 
     /// Checks a candidate assignment against all constraints and bounds

@@ -1,25 +1,11 @@
-//! Two-phase primal simplex with warm-start support.
+//! Cold two-phase primal simplex.
 //!
-//! The tableau works in `f64` with Dantzig pricing (falling back to Bland's
-//! rule under prolonged degeneracy) — the pivot counts and numerical ranges
-//! of the scheduling models keep this exact in practice. Solutions are
-//! snapped to exact rationals when within tolerance and re-verified exactly
-//! by the branch-and-bound layer via [`crate::Model::is_feasible`].
-//!
-//! Beyond the one-shot [`solve_lp`] entry point, the [`Simplex`] state is
-//! persistent: after an `optimize()` the tableau can accept new `<=` rows
-//! ([`Simplex::add_le_row`]) and re-optimize from the previous optimal
-//! basis with a **dual simplex** pass ([`Simplex::reoptimize`]) instead of
-//! re-solving from scratch. The lazy-constraint scheduling loop and the
-//! bound-delta branch-and-bound nodes both ride on this warm path.
-//!
-//! Pivot accounting is honest: every tableau row reduction — primal,
-//! dual, and phase-1 artificial drive-out — charges one
-//! [`WorkKind::Pivot`] against the budget, so `solver.pivots` counts real
-//! work. Row additions re-express the new row in the current basis but do
-//! not change the basis, so they are not pivots.
+//! The tableau works in `f64` with Dantzig pricing, falling back to Bland's
+//! rule under prolonged degeneracy, which guarantees termination. Solutions
+//! are snapped to exact rationals and re-verified exactly by the callers via
+//! [`crate::Model::is_feasible`]. This is the reference oracle's LP layer;
+//! the compiler schedules with the exact integer solver in `sched`.
 
-use crate::budget::{Budget, WorkKind};
 use crate::model::{ConstraintOp, Model, Sense, Solution, SolveError};
 use crate::rational::Rational;
 
@@ -27,22 +13,20 @@ const EPS: f64 = 1e-7;
 /// After this many Dantzig pivots, switch to Bland's rule (anti-cycling).
 const DANTZIG_LIMIT: usize = 20_000;
 
-/// Solves the LP relaxation of `model` from scratch (two-phase primal),
-/// charging one [`WorkKind::Pivot`] per tableau pivot against `budget`.
-///
-/// This is the naive, presolve-free reference path; [`crate::Model::solve`]
-/// routes through presolve and warm starts instead.
+/// Solves the LP relaxation of `model` from scratch (two-phase primal).
 ///
 /// # Errors
 ///
-/// Returns [`SolveError::Infeasible`], [`SolveError::Unbounded`],
-/// [`SolveError::Exhausted`] when the budget runs out mid-search, or
-/// [`SolveError::Numerical`] when a vertex coordinate cannot be
-/// reconstructed exactly.
-pub fn solve_lp(model: &Model, budget: &Budget) -> Result<Solution, SolveError> {
+/// Returns [`SolveError::Infeasible`] or [`SolveError::Unbounded`].
+///
+/// # Panics
+///
+/// Panics when a vertex coordinate cannot be reconstructed as an exact
+/// rational: an oracle must not answer with a guess.
+pub fn solve_lp(model: &Model) -> Result<Solution, SolveError> {
     let mut sx = Simplex::new(model);
-    sx.optimize(budget)?;
-    sx.solution(model)
+    sx.optimize()?;
+    Ok(sx.solution(model))
 }
 
 /// Converts an f64 to a rational: near-integers snap exactly, and
@@ -50,29 +34,19 @@ pub fn solve_lp(model: &Model, budget: &Budget) -> Result<Solution, SolveError> 
 /// vertex coordinates (small-denominator rationals like 5/3) come back
 /// exact rather than as lossy binary approximations.
 ///
-/// # Errors
-///
-/// Returns [`SolveError::Numerical`] for non-finite values and for
-/// magnitudes outside the exactly-representable `i128` range — the old
-/// fallback `(v * 2^20) as i128` silently saturated there, producing a
-/// plausible-looking but wrong rational.
-fn snap(v: f64) -> Result<Rational, SolveError> {
+/// Returns `None` for non-finite values and for magnitudes outside the
+/// exactly-representable `i128` range, where a saturating cast would
+/// fabricate a plausible-looking but wrong rational.
+fn snap(v: f64) -> Option<Rational> {
     if !v.is_finite() {
-        return Err(SolveError::Numerical(format!(
-            "non-finite tableau value {v}"
-        )));
+        return None;
     }
-    let out_of_range = |what: &str, x: f64| {
-        SolveError::Numerical(format!(
-            "{what} {x:e} outside the exactly representable i128 range"
-        ))
-    };
     let r = v.round();
     if r.abs() >= i128::MAX as f64 {
-        return Err(out_of_range("vertex coordinate", v));
+        return None;
     }
     if (v - r).abs() < 1e-6 {
-        return Ok(Rational::int(r as i128));
+        return Some(Rational::int(r as i128));
     }
     let negative = v < 0.0;
     let target = v.abs();
@@ -102,30 +76,27 @@ fn snap(v: f64) -> Result<Rational, SolveError> {
         // cast would fabricate a wrong value.
         let scaled = (v * 1_048_576.0).round();
         if scaled.abs() >= i128::MAX as f64 {
-            return Err(out_of_range("scaled vertex coordinate", v));
+            return None;
         }
-        return Ok(Rational::new(scaled as i128, 1_048_576));
+        return Some(Rational::new(scaled as i128, 1_048_576));
     }
-    Ok(Rational::new(if negative { -p1 } else { p1 }, q1))
+    Some(Rational::new(if negative { -p1 } else { p1 }, q1))
 }
 
-/// A persistent simplex tableau over the standard form of one [`Model`].
+/// A simplex tableau over the standard form of one [`Model`].
 ///
 /// Layout: `(m + 1)` rows × `(num_cols + 1)` columns, flat; the last row
 /// is the (reduced) objective, the last column the rhs. Structural
 /// variables are shifted by their lower bounds (all columns `>= 0`); upper
-/// bounds are explicit rows. Cloning the state clones the whole tableau —
-/// this is what bound-delta branch-and-bound nodes do instead of cloning
-/// and re-solving the `Model`.
-#[derive(Clone)]
-pub(crate) struct Simplex {
+/// bounds are explicit rows.
+struct Simplex {
     a: Vec<f64>,
     width: usize,
     m: usize,
     num_cols: usize,
     basis: Vec<usize>,
     /// Columns that may not enter the basis (frozen artificials after
-    /// phase 1). Indexed per column; new warm-path slacks stay eligible.
+    /// phase 1).
     banned: Vec<bool>,
     /// Structural variable count of the source model.
     n: usize,
@@ -135,13 +106,11 @@ pub(crate) struct Simplex {
     cost: Vec<f64>,
     /// First artificial column, `num_cols` when none exist.
     first_artificial: usize,
-    /// Whether the objective row currently holds phase-2 reduced costs.
-    phase2: bool,
 }
 
 impl Simplex {
     /// Builds the standard-form tableau for `model` (no pivots yet).
-    pub fn new(model: &Model) -> Simplex {
+    fn new(model: &Model) -> Simplex {
         let n = model.vars.len();
         let lower: Vec<f64> = model.vars.iter().map(|v| v.lower.to_f64()).collect();
 
@@ -216,7 +185,6 @@ impl Simplex {
             lower,
             cost,
             first_artificial,
-            phase2: false,
         };
         for (i, (coeffs, op, rhs)) in rows.iter().enumerate() {
             for (j, &c) in coeffs.iter().enumerate() {
@@ -238,14 +206,12 @@ impl Simplex {
         sx
     }
 
-    /// Two-phase primal solve from the initial basis, charging every pivot
-    /// — including phase-1 artificial drive-out pivots — against `budget`.
+    /// Two-phase primal solve from the initial basis.
     ///
     /// # Errors
     ///
-    /// [`SolveError::Infeasible`], [`SolveError::Unbounded`], or
-    /// [`SolveError::Exhausted`].
-    pub fn optimize(&mut self, budget: &Budget) -> Result<(), SolveError> {
+    /// [`SolveError::Infeasible`] or [`SolveError::Unbounded`].
+    fn optimize(&mut self) -> Result<(), SolveError> {
         let (width, m, num_cols) = (self.width, self.m, self.num_cols);
         // Phase 1.
         if self.first_artificial < num_cols {
@@ -267,21 +233,16 @@ impl Simplex {
                 }
             }
             self.a[m * width + num_cols] = obj;
-            self.run(budget)?;
+            self.run()?;
             if self.a[m * width + num_cols] < -1e-5 {
                 return Err(SolveError::Infeasible);
             }
             // Drive remaining artificials out of the basis where possible.
-            // These are real tableau row reductions: charge them like any
-            // other pivot so `solver.pivots` counts all performed work.
             for i in 0..m {
                 if self.basis[i] >= self.first_artificial {
                     if let Some(j) =
                         (0..self.first_artificial).find(|&j| self.a[i * width + j].abs() > EPS)
                     {
-                        budget
-                            .charge(WorkKind::Pivot)
-                            .map_err(SolveError::Exhausted)?;
                         self.pivot(i, j);
                     }
                 }
@@ -308,146 +269,15 @@ impl Simplex {
             obj -= cb * self.a[i * width + num_cols];
         }
         self.a[m * width + num_cols] = obj;
-        self.phase2 = true;
-        self.run(budget)
-    }
-
-    /// Appends one `Σ coeff·x <= rhs` row over structural variables (rhs
-    /// in *unshifted* model coordinates) and makes its fresh slack basic.
-    /// The row is re-expressed in the current basis; no pivot happens here
-    /// — the basis does not change — but the new basic slack may come out
-    /// negative, which the next [`Simplex::reoptimize`] repairs.
-    pub fn add_le_row(&mut self, terms: &[(usize, f64)], rhs: f64) {
-        self.push_column();
-        let width = self.width;
-        let slack = self.num_cols - 1;
-        let mut row = vec![0.0; width];
-        let mut shifted = rhs;
-        for &(v, c) in terms {
-            debug_assert!(v < self.n, "row term on a non-structural column");
-            row[v] += c;
-            shifted -= c * self.lower[v];
-        }
-        row[slack] = 1.0;
-        row[width - 1] = shifted;
-        // Express the new row in the current basis: eliminate every basic
-        // column (each tableau row holds exactly 1.0 in its basis column).
-        for i in 0..self.m {
-            let b = self.basis[i];
-            let f = row[b];
-            if f != 0.0 {
-                for (j, cell) in row.iter_mut().enumerate() {
-                    *cell -= f * self.a[i * width + j];
-                }
-                row[b] = 0.0;
-            }
-        }
-        // Insert the row before the objective row.
-        self.a.extend(std::iter::repeat_n(0.0, width));
-        let obj = self.m * width;
-        self.a.copy_within(obj..obj + width, obj + width);
-        self.a[obj..obj + width].copy_from_slice(&row);
-        self.basis.push(slack);
-        self.m += 1;
-    }
-
-    /// Grows the tableau by one (zero) column just before the rhs.
-    fn push_column(&mut self) {
-        let old_width = self.width;
-        let new_width = old_width + 1;
-        let rows = self.m + 1;
-        let mut a = vec![0.0; rows * new_width];
-        for i in 0..rows {
-            let src = i * old_width;
-            let dst = i * new_width;
-            a[dst..dst + self.num_cols].copy_from_slice(&self.a[src..src + self.num_cols]);
-            a[dst + new_width - 1] = self.a[src + old_width - 1];
-        }
-        self.a = a;
-        self.width = new_width;
-        self.num_cols += 1;
-        self.banned.push(false);
-    }
-
-    /// Re-optimizes after [`Simplex::add_le_row`]: a dual-simplex pass
-    /// drives the violated (negative-rhs) basic slacks out while keeping
-    /// dual feasibility, then a primal pass polishes any residual negative
-    /// reduced costs. Each pivot charges [`WorkKind::Pivot`].
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Infeasible`] (dual unbounded), [`SolveError::Unbounded`],
-    /// or [`SolveError::Exhausted`].
-    pub fn reoptimize(&mut self, budget: &Budget) -> Result<(), SolveError> {
-        debug_assert!(self.phase2, "reoptimize before the first optimize");
-        self.dual_run(budget)?;
-        self.run(budget)
-    }
-
-    /// Dual simplex: restores primal feasibility (rhs >= 0) from a
-    /// dual-feasible tableau.
-    fn dual_run(&mut self, budget: &Budget) -> Result<(), SolveError> {
-        let width = self.width;
-        for iter in 0.. {
-            // Leaving row: most negative rhs (after prolonged degeneracy:
-            // smallest basis index — Bland-style anti-cycling). Ties break
-            // on the smaller basis index for determinism.
-            let mut leave: Option<(f64, usize)> = None;
-            for i in 0..self.m {
-                let b = self.a[i * width + self.num_cols];
-                if b < -EPS {
-                    let take = match leave {
-                        None => true,
-                        Some((lb, li)) => {
-                            if iter < DANTZIG_LIMIT {
-                                b < lb - EPS || (b < lb + EPS && self.basis[i] < self.basis[li])
-                            } else {
-                                self.basis[i] < self.basis[li]
-                            }
-                        }
-                    };
-                    if take {
-                        leave = Some((b, i));
-                    }
-                }
-            }
-            let Some((_, r)) = leave else {
-                return Ok(());
-            };
-            // Entering column: dual ratio test over negative row entries;
-            // first column at the minimal ratio wins (deterministic).
-            let mut enter: Option<(f64, usize)> = None;
-            for j in 0..self.num_cols {
-                if self.banned[j] {
-                    continue;
-                }
-                let arj = self.a[r * width + j];
-                if arj < -EPS {
-                    let ratio = self.a[self.m * width + j].max(0.0) / -arj;
-                    if enter.map(|(best, _)| ratio < best - EPS).unwrap_or(true) {
-                        enter = Some((ratio, j));
-                    }
-                }
-            }
-            let Some((_, j)) = enter else {
-                // The violated row has no negative entry: no feasible
-                // point satisfies it.
-                return Err(SolveError::Infeasible);
-            };
-            budget
-                .charge(WorkKind::Pivot)
-                .map_err(SolveError::Exhausted)?;
-            self.pivot(r, j);
-        }
-        unreachable!("dual loop exits via return")
+        self.run()
     }
 
     /// Extracts the (unshifted) solution and exact objective.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`SolveError::Numerical`] when a coordinate cannot be snapped.
-    pub fn solution(&self, model: &Model) -> Result<Solution, SolveError> {
+    /// Panics when a coordinate cannot be snapped to an exact rational.
+    fn solution(&self, model: &Model) -> Solution {
         let mut raw = vec![0.0f64; self.n];
         for (i, &b) in self.basis.iter().enumerate() {
             if b < self.n {
@@ -456,17 +286,22 @@ impl Simplex {
         }
         let mut values = Vec::with_capacity(self.n);
         for (&v, &lb) in raw.iter().zip(&self.lower) {
-            values.push(snap(v + lb)?);
+            let x = v + lb;
+            values.push(
+                snap(x).unwrap_or_else(|| {
+                    panic!("vertex coordinate {x:e} has no exact i128 rational")
+                }),
+            );
         }
         let objective = model
             .objective
             .iter()
             .enumerate()
             .fold(Rational::ZERO, |acc, (i, &c)| acc + c * values[i]);
-        Ok(Solution { values, objective })
+        Solution { values, objective }
     }
 
-    fn run(&mut self, budget: &Budget) -> Result<(), SolveError> {
+    fn run(&mut self) -> Result<(), SolveError> {
         let width = self.width;
         for iter in 0.. {
             // Entering column.
@@ -516,9 +351,6 @@ impl Simplex {
             let Some((_, i)) = best else {
                 return Err(SolveError::Unbounded);
             };
-            budget
-                .charge(WorkKind::Pivot)
-                .map_err(SolveError::Exhausted)?;
             self.pivot(i, j);
         }
         unreachable!("unbounded loop exits via return")
@@ -552,8 +384,7 @@ impl Simplex {
 
 #[cfg(test)]
 mod tests {
-    use super::Simplex;
-    use crate::{Budget, Model, Sense, SolveError, WorkKind};
+    use crate::{Model, Sense, SolveError};
 
     #[test]
     fn simple_minimization() {
@@ -693,91 +524,16 @@ mod tests {
     }
 
     #[test]
-    fn phase1_drive_out_pivots_are_charged() {
-        // An equality system forces artificials; every pivot (including
-        // any drive-out) must appear in the budget's pivot counter, and a
-        // budget of zero must fail before any work happens.
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.var("x");
-        let y = m.var("y");
-        m.obj(x, 2);
-        m.obj(y, 1);
-        m.constraint_eq(&[(x, 1), (y, 1)], 5);
-        m.constraint_eq(&[(x, 1), (y, -1)], 1);
-        let budget = Budget::unlimited();
-        let sol = m.solve_relaxation_with_budget(&budget).unwrap();
-        assert_eq!(sol.value(x), 3);
-        assert!(budget.count(WorkKind::Pivot) >= 2);
-        assert_eq!(budget.used(), budget.count(WorkKind::Pivot));
-        assert!(matches!(
-            m.solve_relaxation_with_budget(&Budget::new(0)),
-            Err(SolveError::Exhausted(_))
-        ));
-    }
-
-    #[test]
     fn snap_rejects_out_of_range_values() {
-        assert!(matches!(super::snap(1e40), Err(SolveError::Numerical(_))));
-        assert!(matches!(
-            super::snap(f64::NAN),
-            Err(SolveError::Numerical(_))
-        ));
-        assert!(matches!(
-            super::snap(f64::INFINITY),
-            Err(SolveError::Numerical(_))
-        ));
+        assert_eq!(super::snap(1e40), None);
+        assert_eq!(super::snap(f64::NAN), None);
+        assert_eq!(super::snap(f64::INFINITY), None);
         // A huge *fractional* value overflows the continued-fraction
         // accumulator and must error, not saturate: the old fallback
         // returned i128::MAX/2^20 for any such input.
-        assert!(matches!(super::snap(2.5e38), Err(SolveError::Numerical(_))));
+        assert_eq!(super::snap(2.5e38), None);
         // Sane values still snap exactly.
-        assert_eq!(super::snap(3.0).unwrap(), crate::Rational::int(3));
-        assert_eq!(super::snap(1.5).unwrap(), crate::Rational::new(3, 2));
-    }
-
-    #[test]
-    fn warm_added_row_reoptimizes_with_dual_pivots() {
-        // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 → (4, 0), obj 12.
-        // Then add x <= 2: dual step moves to (2, 4/3), obj 26/3.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.var("x");
-        let y = m.var("y");
-        m.obj(x, 3);
-        m.obj(y, 2);
-        m.constraint_le(&[(x, 1), (y, 1)], 4);
-        m.constraint_le(&[(x, 1), (y, 3)], 6);
-        let budget = Budget::unlimited();
-        let mut sx = Simplex::new(&m);
-        sx.optimize(&budget).unwrap();
-        let first = sx.solution(&m).unwrap();
-        assert_eq!(first.objective, 12.into());
-        let cold = budget.count(WorkKind::Pivot);
-
-        sx.add_le_row(&[(x.0, 1.0)], 2.0);
-        sx.reoptimize(&budget).unwrap();
-        let second = sx.solution(&m).unwrap();
-        assert_eq!(second.rational_value(x), 2.into());
-        assert_eq!(second.objective, crate::Rational::new(26, 3));
-        let warm = budget.count(WorkKind::Pivot) - cold;
-        assert!(warm >= 1, "dual re-optimization must pivot");
-        // The warm path must beat a from-scratch re-solve.
-        m.set_upper(x, 2);
-        let fresh = Budget::unlimited();
-        let scratch = m.solve_relaxation_with_budget(&fresh).unwrap();
-        assert_eq!(scratch.objective, second.objective);
-        assert!(warm <= fresh.count(WorkKind::Pivot));
-    }
-
-    #[test]
-    fn warm_added_row_can_prove_infeasible() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.var("x");
-        m.obj(x, 1);
-        m.constraint_ge(&[(x, 1)], 5);
-        let budget = Budget::unlimited();
-        let mut sx = Simplex::new(&m);
-        sx.optimize(&budget).unwrap();
-        sx.add_le_row(&[(x.0, 1.0)], 2.0); // x <= 2 contradicts x >= 5
-        assert_eq!(sx.reoptimize(&budget), Err(SolveError::Infeasible));
+        assert_eq!(super::snap(3.0), Some(crate::Rational::int(3)));
+        assert_eq!(super::snap(1.5), Some(crate::Rational::new(3, 2)));
     }
 }

@@ -124,8 +124,8 @@ proptest! {
                 prop_assert!(false, "solver said {} but brute force found optimum {}", e, best);
             }
             (Err(e), None) => {
-                // All variables are bounded and the models are tiny, so
-                // neither unboundedness nor budget exhaustion can happen.
+                // All variables are bounded, so unboundedness cannot
+                // happen.
                 prop_assert!(false, "infeasible model reported as {}", e);
             }
         }

@@ -868,15 +868,14 @@ impl Longnail {
     fn solve_stage(&self, pout: &ProblemOut, graph: &Graph) -> StageVal<SolveOut> {
         let mut tape = Tape::default();
         let budget = Budget::new(self.work_limit);
-        // The solver mutates the problem (presolve rewrites it); the
-        // cached ProblemOut must stay pristine for replay.
+        // Scheduling appends chain breakers to the problem; the cached
+        // ProblemOut must stay pristine for replay.
         let mut problem = pout.problem.clone();
         let result = schedule_resilient(&mut problem, &budget);
         // Solver work is counted, not timed — these are deterministic.
-        tape.counter(metrics::SOLVER_PIVOTS, budget.count(WorkKind::Pivot));
-        tape.counter(metrics::SOLVER_NODES, budget.count(WorkKind::Node));
+        tape.counter(metrics::SOLVER_LIFTS, budget.count(WorkKind::Lift));
+        tape.counter(metrics::SOLVER_AUGMENTS, budget.count(WorkKind::Augment));
         tape.counter(metrics::SOLVER_ROUNDS, budget.count(WorkKind::Round));
-        tape.counter(metrics::SOLVER_PRESOLVE, budget.count(WorkKind::Presolve));
         tape.counter(metrics::SOLVER_WORK_USED, budget.used());
         tape.counter(metrics::SOLVER_WORK_LIMIT, budget.limit());
         let outcome = match result {

@@ -40,7 +40,7 @@ use telemetry::{SpanId, Telemetry};
 /// Bump when the serialized shape of any cached artifact changes; the
 /// on-disk schema fingerprint derives from it, so stale caches written
 /// by older revisions self-invalidate instead of being trusted.
-const SCHEMA_REV: u32 = 1;
+const SCHEMA_REV: u32 = 2;
 
 /// The on-disk schema fingerprint: the first 8 bytes (little-endian) of
 /// the SHA-256 over the crate version, schema revision, and the run's

@@ -1,4 +1,4 @@
-//! Incremental-pipeline integration tests: the whole-pipeline stage
+//! Integration tests for the incremental pipeline: the whole-pipeline stage
 //! cache must make warm recompiles pure replay, invalidate exactly the
 //! edited source's cone, and reproduce the cold artifacts byte for byte
 //! — and the persistent layer must detect (and silently recompute past)

@@ -49,7 +49,7 @@ fn trace_covers_every_pipeline_stage_exactly_once() {
 fn trace_records_solver_and_hardware_counters() {
     let compiled = compile_dotprod();
     let trace = &compiled.trace;
-    assert!(trace.counter_total(metrics::SOLVER_PIVOTS) > 0, "no pivots");
+    assert!(trace.counter_total(metrics::SOLVER_AUGMENTS) > 0, "no augmenting paths");
     assert!(trace.counter_total(metrics::SOLVER_ROUNDS) > 0, "no rounds");
     assert!(trace.counter_total(metrics::SOLVER_WORK_USED) > 0);
     assert!(trace.counter_total(metrics::SOLVER_WORK_LIMIT) > 0);

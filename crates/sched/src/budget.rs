@@ -1,17 +1,14 @@
-//! Deterministic work budgets for the solver stack.
+//! Deterministic work budgets for the exact scheduler.
 //!
-//! The solver's old safety limits (`MAX_PIVOTS`, `MAX_NODES`) were per-call
-//! panic bounds: exceeding them aborted the whole process. A [`Budget`] is
-//! the replacement — a single pool of abstract *work units* shared across
-//! every layer touched by one scheduling attempt (simplex pivots,
-//! branch-and-bound nodes, chaining-repair re-solve rounds). Exhaustion is a
-//! typed error ([`Exhausted`], surfaced as
-//! [`SolveError::Exhausted`](crate::SolveError::Exhausted)), so callers can
-//! fall back to a cheaper algorithm instead of crashing.
+//! A [`Budget`] is a single pool of abstract *work units* shared across
+//! every layer touched by one scheduling attempt (chaining-repair rounds,
+//! and the lifts and augmenting paths of the difference-constraint solver
+//! in [`crate::lift`]). Exhaustion is a typed error ([`Exhausted`]), so
+//! callers can fall back to a cheaper algorithm instead of crashing.
 //!
 //! Work is counted, never timed: charges are a deterministic function of the
-//! model and the algorithm, so a budget-limited run produces the same result
-//! on every machine and every repetition.
+//! problem and the algorithm, so a budget-limited run produces the same
+//! result on every machine and every repetition.
 
 use std::cell::Cell;
 use std::fmt;
@@ -20,28 +17,21 @@ use std::fmt;
 /// expense of each step so a single limit governs all layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkKind {
-    /// One simplex pivot (tableau row reduction) — primal or dual, and
-    /// including phase-1 artificial drive-out pivots, so the pivot counter
-    /// reflects every tableau row reduction actually performed.
-    Pivot,
-    /// One branch-and-bound node (bound-delta child + warm LP re-solve).
-    Node,
-    /// One lazy-constraint repair round (ILP re-solve with added rows).
+    /// One lazy-constraint repair round (a from-scratch re-solve with the
+    /// added chain breakers).
     Round,
-    /// One presolve charge — a batch of
-    /// [`PRESOLVE_BATCH`](crate::presolve::PRESOLVE_BATCH) constraint
-    /// propagation visits (bound tightening before the first pivot).
-    Presolve,
+    /// One lift: raising the start times of an improving closed set by one.
+    Lift,
+    /// One augmenting path of the max-flow that finds the next lift.
+    Augment,
 }
 
 impl WorkKind {
     /// The work-unit cost of one step of this kind.
     pub const fn cost(self) -> u64 {
         match self {
-            WorkKind::Pivot => 1,
-            WorkKind::Node => 32,
             WorkKind::Round => 256,
-            WorkKind::Presolve => 1,
+            WorkKind::Lift | WorkKind::Augment => 1,
         }
     }
 }
@@ -49,10 +39,9 @@ impl WorkKind {
 impl fmt::Display for WorkKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            WorkKind::Pivot => "simplex pivot",
-            WorkKind::Node => "branch-and-bound node",
             WorkKind::Round => "repair round",
-            WorkKind::Presolve => "presolve propagation batch",
+            WorkKind::Lift => "lift",
+            WorkKind::Augment => "augmenting path",
         })
     }
 }
@@ -85,32 +74,22 @@ impl std::error::Error for Exhausted {}
 ///
 /// Shared by reference across solver layers; interior mutability keeps the
 /// call signatures `&Budget` so one budget can thread through nested calls
-/// (repair loop → branch-and-bound → simplex) without plumbing `&mut`.
+/// (repair loop → lift solver) without plumbing `&mut`.
 #[derive(Debug)]
 pub struct Budget {
     limit: u64,
     used: Cell<u64>,
-    /// Completed steps per kind (pivots, nodes, rounds, presolve batches)
-    /// — the solver metrics telemetry reads after a solve. A step whose
-    /// charge failed is not counted: the counters describe work actually
+    /// Completed steps per kind (rounds, lifts, augmenting paths) — the
+    /// solver metrics telemetry reads after a solve. A step whose charge
+    /// failed is not counted: the counters describe work actually
     /// performed.
-    counts: [Cell<u64>; 4],
-}
-
-const fn kind_index(kind: WorkKind) -> usize {
-    match kind {
-        WorkKind::Pivot => 0,
-        WorkKind::Node => 1,
-        WorkKind::Round => 2,
-        WorkKind::Presolve => 3,
-    }
+    counts: [Cell<u64>; 3],
 }
 
 impl Budget {
-    /// The default limit, sized so that every well-formed scheduling model
-    /// solves without coming near it (it exceeds the solver's historical
-    /// per-call pivot and node bounds combined). Hitting it indicates a
-    /// pathological model, for which callers degrade gracefully.
+    /// The default limit, sized so that every well-formed scheduling
+    /// problem solves far below it. Hitting it indicates a pathological
+    /// problem, for which callers degrade gracefully.
     pub const DEFAULT_LIMIT: u64 = 4_000_000;
 
     /// Creates a budget with the given work-unit limit.
@@ -118,7 +97,7 @@ impl Budget {
         Budget {
             limit,
             used: Cell::new(0),
-            counts: [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
+            counts: Default::default(),
         }
     }
 
@@ -144,7 +123,7 @@ impl Budget {
             });
         }
         self.used.set(used);
-        let c = &self.counts[kind_index(kind)];
+        let c = &self.counts[kind as usize];
         c.set(c.get() + 1);
         Ok(())
     }
@@ -154,25 +133,14 @@ impl Budget {
         self.used.get()
     }
 
-    /// Completed steps of `kind` charged so far (e.g. simplex pivots).
+    /// Completed steps of `kind` charged so far (e.g. lifts).
     pub fn count(&self, kind: WorkKind) -> u64 {
-        self.counts[kind_index(kind)].get()
+        self.counts[kind as usize].get()
     }
 
     /// The configured limit.
     pub fn limit(&self) -> u64 {
         self.limit
-    }
-
-    /// Work units still available.
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.used.get()
-    }
-
-    /// Whether a previous charge has already failed (or exactly consumed
-    /// the budget).
-    pub fn is_exhausted(&self) -> bool {
-        self.used.get() >= self.limit
     }
 }
 
@@ -188,33 +156,32 @@ mod tests {
 
     #[test]
     fn charges_accumulate_and_exhaust() {
-        let b = Budget::new(WorkKind::Node.cost() + WorkKind::Pivot.cost());
-        assert!(b.charge(WorkKind::Node).is_ok());
-        assert_eq!(b.remaining(), WorkKind::Pivot.cost());
-        assert!(b.charge(WorkKind::Pivot).is_ok());
-        assert!(b.is_exhausted());
-        let err = b.charge(WorkKind::Pivot).unwrap_err();
+        let b = Budget::new(WorkKind::Round.cost() + WorkKind::Lift.cost());
+        assert!(b.charge(WorkKind::Round).is_ok());
+        assert!(b.charge(WorkKind::Lift).is_ok());
+        assert_eq!(b.used(), b.limit());
+        let err = b.charge(WorkKind::Augment).unwrap_err();
         assert_eq!(err.limit, b.limit());
-        assert_eq!(err.at, WorkKind::Pivot);
+        assert_eq!(err.at, WorkKind::Augment);
     }
 
     #[test]
     fn per_kind_counters_track_completed_steps_only() {
-        let b = Budget::new(WorkKind::Node.cost() + 2 * WorkKind::Pivot.cost());
-        b.charge(WorkKind::Pivot).unwrap();
-        b.charge(WorkKind::Pivot).unwrap();
-        b.charge(WorkKind::Node).unwrap();
+        let b = Budget::new(WorkKind::Lift.cost() + 2 * WorkKind::Augment.cost());
+        b.charge(WorkKind::Augment).unwrap();
+        b.charge(WorkKind::Augment).unwrap();
+        b.charge(WorkKind::Lift).unwrap();
         // This charge fails: it must not count as performed work.
         assert!(b.charge(WorkKind::Round).is_err());
-        assert_eq!(b.count(WorkKind::Pivot), 2);
-        assert_eq!(b.count(WorkKind::Node), 1);
+        assert_eq!(b.count(WorkKind::Augment), 2);
+        assert_eq!(b.count(WorkKind::Lift), 1);
         assert_eq!(b.count(WorkKind::Round), 0);
     }
 
     #[test]
     fn exhaustion_is_sticky() {
         let b = Budget::new(0);
-        assert!(b.charge(WorkKind::Pivot).is_err());
+        assert!(b.charge(WorkKind::Lift).is_err());
         assert!(b.charge(WorkKind::Round).is_err());
         assert_eq!(b.used(), 0);
     }
@@ -225,15 +192,15 @@ mod tests {
         for _ in 0..10_000 {
             b.charge(WorkKind::Round).unwrap();
         }
-        assert!(!b.is_exhausted());
+        assert_eq!(b.used(), 10_000 * WorkKind::Round.cost());
     }
 
     #[test]
     fn display_is_informative() {
         let b = Budget::new(10);
-        let err = b.charge(WorkKind::Node).unwrap_err();
+        let err = b.charge(WorkKind::Round).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("budget exhausted"), "{msg}");
-        assert!(msg.contains("branch-and-bound node"), "{msg}");
+        assert!(msg.contains("repair round"), "{msg}");
     }
 }

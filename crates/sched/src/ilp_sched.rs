@@ -13,11 +13,15 @@
 //!            t_i, l_ij ∈ ℕ0                                     (C4)
 //!            t_i + latency(i) + 1 <= t_j    ∀ i→j ∈ chainBreakers (C5)
 //! ```
+//!
+//! Folding (C2) into the objective leaves a difference system, which
+//! [`crate::lift`] solves exactly in integer arithmetic.
 
+use crate::budget::{Budget, WorkKind};
 use crate::chain::compute_chain_breakers;
+use crate::lift::{self, DiffSystem};
 use crate::problem::{LongnailProblem, Schedule, ScheduleError};
 use crate::stic::compute_stic;
-use ilp::{Budget, Incremental, Model, Sense, SolveError, VarId, WorkKind};
 
 /// Schedules `problem` with the Figure 7 ILP under a fresh default
 /// [`Budget`]. See [`schedule_ilp_with_budget`].
@@ -34,7 +38,9 @@ pub fn schedule_ilp(problem: &mut LongnailProblem) -> Result<Schedule, ScheduleE
 /// computation and STIC back-annotation. Verifies the solution against all
 /// constraint levels before returning it.
 ///
-/// All solver work — simplex pivots, branch-and-bound nodes, and one
+/// The ILP is solved exactly by the difference-constraint solver in
+/// [`crate::lift`], which returns the least (componentwise-earliest)
+/// optimum. All solver work — lifts, augmenting paths, and one
 /// [`WorkKind::Round`] per lazy-constraint repair round — is charged
 /// against `budget`, so a single budget bounds the whole scheduling
 /// attempt deterministically.
@@ -50,23 +56,20 @@ pub fn schedule_ilp_with_budget(
 ) -> Result<Schedule, ScheduleError> {
     problem.check()?;
     compute_chain_breakers(problem)?;
+    // Breakers repeat dependence edges, so this order stays topological
+    // as repair rounds add more of them.
+    let order: Vec<usize> = problem.topological_order()?.iter().map(|o| o.0).collect();
     // Lazy-constraint loop: solve, and if the solution violates the
     // chaining budget (the initial breakers are a heuristic), add breakers
-    // on the offending edges and re-solve. Each round adds at least one
-    // new breaker edge, so this terminates.
-    //
-    // The model is built once; repair rounds push the new breaker rows
-    // into the warm [`Incremental`] solver, which re-optimizes from the
-    // previous round's basis with a dual-simplex step instead of solving
-    // the grown model from scratch.
-    let (model, t) = build_model(problem);
-    let mut solver = Incremental::new(model);
+    // on the offending edges and re-solve from scratch. Each round adds at
+    // least one new breaker edge, so this terminates.
+    let mut system = build_system(problem);
     for _ in 0..problem.dependences.len() + 1 {
         budget
             .charge(WorkKind::Round)
             .map_err(ScheduleError::Exhausted)?;
-        let solution = solver.solve(budget).map_err(map_solve_error)?;
-        let start_time: Vec<u32> = t.iter().map(|&v| solution.value(v) as u32).collect();
+        let t = lift::solve(&system, &order, budget)?;
+        let start_time: Vec<u32> = t.iter().map(|&v| v as u32).collect();
         let schedule = compute_stic(problem, start_time)?;
         let extra = crate::chain::repair_breakers(problem, &schedule);
         if extra.is_empty() {
@@ -75,7 +78,7 @@ pub fn schedule_ilp_with_budget(
         }
         for d in &extra {
             let latency = problem.lot(d.from).latency as i64;
-            solver.add_le(&[(t[d.from.0], 1), (t[d.to.0], -1)], -(latency + 1));
+            system.arcs.push((d.from.0, d.to.0, latency + 1));
         }
         problem.chain_breakers.extend(extra);
     }
@@ -84,27 +87,9 @@ pub fn schedule_ilp_with_budget(
     ))
 }
 
-fn map_solve_error(e: SolveError) -> ScheduleError {
-    match e {
-        SolveError::Infeasible => ScheduleError::Infeasible(
-            "no schedule satisfies the interface windows and precedence constraints".into(),
-        ),
-        SolveError::Unbounded => {
-            ScheduleError::InvalidProblem("scheduling objective is unbounded".into())
-        }
-        SolveError::Exhausted(e) => ScheduleError::Exhausted(e),
-        // An inexact vertex reconstruction is a solver fault, not a model
-        // property: surface it as a violation so the resilient path falls
-        // back to ASAP instead of trusting a wrong value.
-        SolveError::Numerical(m) => ScheduleError::Violation(format!("ILP solver: {m}")),
-    }
-}
-
 /// Builds the Figure 7 model (obj + C1, C3, C4, C5 over the breakers known
-/// so far) and returns it with the start-time variable per operation.
-fn build_model(problem: &LongnailProblem) -> (Model, Vec<VarId>) {
-    let mut model = Model::new(Sense::Minimize);
-
+/// so far) as a difference system over the start times.
+fn build_system(problem: &LongnailProblem) -> DiffSystem {
     // Because every latency is non-negative, C1 forces t_j >= t_i on every
     // dependence, so at any optimum the lifetime variable l_ij of (C2)
     // equals exactly t_j - t_i. Substituting into the objective folds the
@@ -112,44 +97,42 @@ fn build_model(problem: &LongnailProblem) -> (Model, Vec<VarId>) {
     //
     //   Σ t_i + Σ_(i→j) (t_j - t_i)  =  Σ_i (1 + indeg(i) - outdeg(i)) t_i
     //
-    // which halves the model size without changing the optimum.
+    // which leaves a pure difference system over the start times.
     let mut weight = vec![1i64; problem.operations.len()];
     for d in &problem.dependences {
         weight[d.from.0] -= 1;
         weight[d.to.0] += 1;
     }
-
-    // t_i variables with window bounds (C3, C4) and folded objective (obj).
-    let t: Vec<_> = problem
+    // Window bounds (C3, C4).
+    let (lower, upper) = problem
         .operations
         .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let var = model.int_var(&format!("t{i}"));
+        .map(|op| {
             let ot = &problem.operator_types[op.operator_type.0];
-            model.set_lower(var, ot.earliest as i64);
-            if let Some(latest) = ot.latest {
-                model.set_upper(var, latest as i64);
-            }
-            model.obj(var, weight[i]);
-            var
+            (i64::from(ot.earliest), ot.latest.map(i64::from))
         })
+        .unzip();
+    // Precedence (C1) and the chain breakers (C5) known so far; repair
+    // rounds append later ones.
+    let arc = |d: &crate::problem::Dependence, extra: i64| {
+        (
+            d.from.0,
+            d.to.0,
+            i64::from(problem.lot(d.from).latency) + extra,
+        )
+    };
+    let arcs = problem
+        .dependences
+        .iter()
+        .map(|d| arc(d, 0))
+        .chain(problem.chain_breakers.iter().map(|d| arc(d, 1)))
         .collect();
-
-    // Dependences: precedence (C1); lifetimes (C2) are folded (see above).
-    for d in &problem.dependences {
-        let latency = problem.lot(d.from).latency as i64;
-        model.constraint_le(&[(t[d.from.0], 1), (t[d.to.0], -1)], -latency);
+    DiffSystem {
+        lower,
+        upper,
+        weight,
+        arcs,
     }
-
-    // Chain breakers (C5) known before the first solve; repair rounds add
-    // later ones through the warm solver.
-    for d in &problem.chain_breakers {
-        let latency = problem.lot(d.from).latency as i64;
-        model.constraint_le(&[(t[d.from.0], 1), (t[d.to.0], -1)], -(latency + 1));
-    }
-
-    (model, t)
 }
 
 #[cfg(test)]

@@ -162,7 +162,7 @@ pub enum ScheduleError {
     /// problem may still be feasible; see
     /// [`resilient::schedule_resilient`](crate::resilient::schedule_resilient)
     /// for the degradation path.
-    Exhausted(ilp::Exhausted),
+    Exhausted(crate::budget::Exhausted),
 }
 
 impl fmt::Display for ScheduleError {

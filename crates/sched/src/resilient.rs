@@ -16,17 +16,17 @@
 //! Genuinely infeasible problems (interface windows that cannot be met)
 //! fail both schedulers and still surface as [`ScheduleError`]s.
 
+use crate::budget::{Budget, Exhausted};
 use crate::ilp_sched::schedule_ilp_with_budget;
 use crate::list_sched::schedule_asap;
 use crate::problem::{LongnailProblem, Schedule, ScheduleError};
-use ilp::Budget;
 use std::fmt;
 
 /// Why the exact scheduler was abandoned in favor of the fallback.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DegradationReason {
     /// The deterministic work budget ran out mid-search.
-    BudgetExhausted(ilp::Exhausted),
+    BudgetExhausted(Exhausted),
     /// The ILP reported infeasible but the ASAP scheduler found a valid
     /// schedule (a lazy-constraint artifact, e.g. breaker-induced
     /// over-constraint).
@@ -130,6 +130,7 @@ pub fn schedule_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::WorkKind;
     use crate::problem::OperatorType;
 
     fn chain_problem(n: usize, cycle_time: f64) -> LongnailProblem {
@@ -190,48 +191,58 @@ mod tests {
         assert!(schedule_resilient(&mut p2, &Budget::new(0)).is_err());
     }
 
-    #[test]
-    fn exhaustion_mid_warm_round_degrades_to_asap() {
-        // A two-level reduction tree under a tight cycle time makes the
-        // breaker heuristic underestimate, so the lazy-constraint loop
-        // takes warm repair rounds. Measure the full cost, then replay
-        // with less: exhaustion lands mid-solve (including mid-warm-round
-        // at `needed - 1`) and the ASAP fallback must still produce a
-        // verified schedule.
-        fn tree_problem() -> LongnailProblem {
-            let mut p = LongnailProblem {
-                cycle_time: 1.5,
-                ..LongnailProblem::default()
-            };
-            let add = p.add_operator_type(OperatorType::combinational("add", 1.0));
-            let leaves: Vec<_> = (0..4)
-                .map(|i| p.add_operation(&format!("l{i}"), add))
-                .collect();
-            let m0 = p.add_operation("m0", add);
-            let m1 = p.add_operation("m1", add);
-            let root = p.add_operation("root", add);
-            p.add_dependence(leaves[0], m0);
-            p.add_dependence(leaves[1], m0);
-            p.add_dependence(leaves[2], m1);
-            p.add_dependence(leaves[3], m1);
-            p.add_dependence(m0, root);
-            p.add_dependence(m1, root);
-            p
+    /// A problem whose exact solve lifts and takes a repair round. `p`
+    /// feeds two interface ops fixed at time 2, so the optimum lifts it
+    /// from time 0 into `q`'s cycle 1 (where `s`'s latency put `q`). The
+    /// breaker heuristic saw `p` in cycle 0 and left `q → c` unbroken, so
+    /// the chain `p → q → c` then overruns the 2.5 ns cycle and a repair
+    /// round adds that breaker; the second round lifts `p` again.
+    fn lifting_problem() -> LongnailProblem {
+        let mut p = LongnailProblem {
+            cycle_time: 2.5,
+            ..LongnailProblem::default()
+        };
+        let reg = p.add_operator_type(OperatorType::sequential("reg", 1, 0.0));
+        let add = p.add_operator_type(OperatorType::combinational("add", 1.0));
+        let iface =
+            p.add_operator_type(OperatorType::combinational("iface", 0.0).with_window(2, Some(2)));
+        let s = p.add_operation("s", reg);
+        let op_p = p.add_operation("p", add);
+        let q = p.add_operation("q", add);
+        let c = p.add_operation("c", add);
+        let x = p.add_operation("x", iface);
+        let y = p.add_operation("y", iface);
+        for (from, to) in [(s, q), (op_p, q), (q, c), (op_p, x), (op_p, y)] {
+            p.add_dependence(from, to);
         }
-        let mut probe = tree_problem();
+        p
+    }
+
+    #[test]
+    fn exhaustion_mid_repair_round_degrades_to_asap() {
+        // Measure the full cost, then replay with less: exhaustion at
+        // `needed - 1` lands on the final round's last augmenting path,
+        // and the ASAP fallback must still produce a verified schedule.
+        let mut probe = lifting_problem();
         let full = Budget::unlimited();
         let out = schedule_resilient(&mut probe, &full).unwrap();
         assert!(out.is_exact());
+        assert_eq!(full.count(WorkKind::Round), 2, "one repair round");
+        assert!(full.count(WorkKind::Lift) > 0, "no lift taken");
         let needed = full.used();
-        assert!(needed > 0);
         for limit in [needed / 2, needed - 1] {
-            let mut p = tree_problem();
+            let mut p = lifting_problem();
             let budget = Budget::new(limit);
             let out = schedule_resilient(&mut p, &budget).unwrap();
             let deg = out
                 .degradation
                 .expect("a limit below the requirement must degrade");
-            assert!(matches!(deg.reason, DegradationReason::BudgetExhausted(_)));
+            let DegradationReason::BudgetExhausted(e) = deg.reason else {
+                panic!("expected budget exhaustion, got {}", deg.reason);
+            };
+            if limit == needed - 1 {
+                assert_ne!(e.at, WorkKind::Round, "exhaustion must land mid-solve");
+            }
             assert!(deg.work_used <= limit);
             p.verify(&out.schedule).unwrap();
         }
@@ -239,11 +250,11 @@ mod tests {
 
     #[test]
     fn degradation_reports_work_accounting() {
-        let mut p = chain_problem(6, 2.5);
-        let budget = Budget::new(ilp::WorkKind::Round.cost()); // first round only
+        let mut p = lifting_problem();
+        let budget = Budget::new(WorkKind::Round.cost()); // first round only
         let out = schedule_resilient(&mut p, &budget).unwrap();
         let deg = out.degradation.expect("must degrade");
-        assert_eq!(deg.work_limit, ilp::WorkKind::Round.cost());
+        assert_eq!(deg.work_limit, WorkKind::Round.cost());
         assert!(deg.work_used <= deg.work_limit);
         assert!(deg.to_string().contains("ASAP fallback"));
     }

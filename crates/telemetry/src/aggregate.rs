@@ -320,9 +320,9 @@ impl MatrixSummary {
         let c = |n: &str| self.counters.get(n).copied().unwrap_or(0);
         let _ = writeln!(
             out,
-            "solver: {} pivot(s), {} node(s), {} round(s), {} fallback(s)",
-            c(metrics::SOLVER_PIVOTS),
-            c(metrics::SOLVER_NODES),
+            "solver: {} lift(s), {} augment(s), {} round(s), {} fallback(s)",
+            c(metrics::SOLVER_LIFTS),
+            c(metrics::SOLVER_AUGMENTS),
             c(metrics::SOLVER_ROUNDS),
             c(metrics::SCHED_FALLBACK)
         );
@@ -499,7 +499,7 @@ mod tests {
 
     /// A cell trace with one unit and fixed stage durations (per-unit
     /// stage spans carry no real clock here; tests only need structure).
-    fn cell(unit: &str, pivots: u64) -> Trace {
+    fn cell(unit: &str, lifts: u64) -> Trace {
         let mut t = Telemetry::new();
         let root = t.start_span("compile");
         t.counter(root, metrics::CACHE_FRONTEND_HIT, 1);
@@ -507,7 +507,7 @@ mod tests {
         t.end_span(fe);
         let u = t.start_unit_span("unit", Some(unit));
         let s = t.start_span("solve");
-        t.counter(s, metrics::SOLVER_PIVOTS, pivots);
+        t.counter(s, metrics::SOLVER_LIFTS, lifts);
         t.end_span(s);
         t.end_span(u);
         t.end_span(root);
@@ -531,7 +531,7 @@ mod tests {
         let cells = vec![("a_ORCA".to_string(), &a), ("b_ORCA".to_string(), &b)];
         let s = summarize(&cells);
         assert_eq!(s.cells, 2);
-        assert_eq!(s.counters.get(metrics::SOLVER_PIVOTS), Some(&42));
+        assert_eq!(s.counters.get(metrics::SOLVER_LIFTS), Some(&42));
         // cache.* counters are excluded from the generic map but summed
         // into the dedicated fields.
         assert!(!s.counters.contains_key(metrics::CACHE_FRONTEND_HIT));
@@ -579,7 +579,7 @@ mod tests {
         let r = s.render();
         assert!(r.contains("matrix summary: 1 cell(s), 4 job(s)"), "{r}");
         assert!(r.contains("p50"), "{r}");
-        assert!(r.contains("solver: 5 pivot(s)"), "{r}");
+        assert!(r.contains("solver: 5 lift(s)"), "{r}");
         assert!(r.contains("cache: 1 miss(es), 1 hit(s)"), "{r}");
         assert!(r.contains("stage cache (miss/hit): frontend 1/3"), "{r}");
         assert!(r.contains("pool: 1 worker(s) · w0 50% (1 job(s))"), "{r}");

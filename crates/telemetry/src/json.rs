@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! {"seq":0,"ev":"span_start","id":1,"parent":null,"name":"compile","unit":null}
-//! {"seq":1,"ev":"counter","span":1,"name":"solver.pivots","value":42}
+//! {"seq":1,"ev":"counter","span":1,"name":"solver.lifts","value":42}
 //! {"seq":2,"ev":"gauge","span":1,"name":"eda.area_um2","value":812.5}
 //! {"seq":3,"ev":"attr","span":1,"name":"core","value":"ORCA"}
 //! {"seq":4,"ev":"diag","span":1,"severity":"warning","stage":"schedule","unit":"sqrt","message":"..."}
@@ -390,7 +390,7 @@ mod tests {
         let root = t.start_span("compile");
         t.attr(root, "core", "VexRiscv");
         let u = t.start_unit_span("unit", Some("dotp"));
-        t.counter(u, "solver.pivots", 42);
+        t.counter(u, "solver.lifts", 42);
         t.gauge(u, "sched.chain_depth", 4.25);
         t.gauge(u, "eda.area_um2", 812.0417);
         t.diag(

@@ -7,7 +7,7 @@
 //!
 //! * [`Telemetry`] — the recording sink. The driver opens one span per
 //!   pipeline stage ([`STAGES`]) and attaches counters (monotonic integer
-//!   totals, e.g. simplex pivots), gauges (point-in-time floats, e.g. cell
+//!   totals, e.g. solver lifts), gauges (point-in-time floats, e.g. cell
 //!   area in µm²), and attrs (strings, e.g. the execution mode).
 //! * [`Trace`] — the finished, ordered event stream. Serializes to JSON
 //!   lines ([`Trace::to_jsonl`]) and parses back ([`Trace::from_jsonl`])
@@ -34,14 +34,20 @@ use std::time::Instant;
 /// Canonical metric names. The driver records them, [`report`] reads them;
 /// keeping the strings here keeps the two ends agreeing.
 pub mod metrics {
-    /// Simplex pivots performed (counter, per `solve` span).
-    pub const SOLVER_PIVOTS: &str = "solver.pivots";
-    /// Branch-and-bound nodes expanded (counter).
-    pub const SOLVER_NODES: &str = "solver.nodes";
+    /// Lifts of the exact scheduler: improving closed sets raised by one
+    /// step (counter, per `solve` span).
+    pub const SOLVER_LIFTS: &str = "solver.lifts";
+    /// Augmenting paths of the max-flows that find the lifts (counter).
+    pub const SOLVER_AUGMENTS: &str = "solver.augments";
     /// Lazy-constraint repair rounds (counter).
     pub const SOLVER_ROUNDS: &str = "solver.rounds";
-    /// Presolve propagation batches charged before the first pivot
-    /// (counter).
+    /// Simplex pivots of the former float-simplex scheduler. No longer
+    /// emitted; kept so older traces and readers that default absent
+    /// counters to 0 still resolve the name.
+    pub const SOLVER_PIVOTS: &str = "solver.lifts";
+    /// Branch-and-bound nodes of the former scheduler. No longer emitted.
+    pub const SOLVER_NODES: &str = "solver.nodes";
+    /// Presolve batches of the former scheduler. No longer emitted.
     pub const SOLVER_PRESOLVE: &str = "solver.presolve";
     /// Abstract work units spent against the solver budget (counter).
     pub const SOLVER_WORK_USED: &str = "solver.work_used";
@@ -206,7 +212,7 @@ pub enum EventKind {
     /// whole schema.
     SpanEnd { id: SpanId, dur_ns: u64 },
     /// A monotonic integer total attributed to a span (e.g.
-    /// `solver.pivots`).
+    /// `solver.lifts`).
     Counter {
         span: SpanId,
         name: String,
@@ -561,7 +567,7 @@ mod tests {
     fn seq_is_dense_and_ordered() {
         let mut t = Telemetry::new();
         let s = t.start_span("compile");
-        t.counter(s, "solver.pivots", 17);
+        t.counter(s, "solver.lifts", 17);
         t.gauge(s, "eda.area_um2", 1.5);
         t.attr(s, "core", "ORCA");
         t.end_span(s);
@@ -612,16 +618,16 @@ mod tests {
         let mut t = Telemetry::new();
         let s = t.start_span("compile");
         t.counter(s, metrics::CACHE_FRONTEND_HIT, 1);
-        t.counter(s, "solver.pivots", 9);
+        t.counter(s, "solver.lifts", 9);
         t.gauge(s, metrics::POOL_WORKER_UTILIZATION, 0.5);
         t.attr(s, "pool.worker", "w0");
         t.end_span(s);
         let trace = t.finish();
         let stripped = trace.stripped();
         assert_eq!(stripped.counter_total(metrics::CACHE_FRONTEND_HIT), 0);
-        assert_eq!(stripped.counter_total("solver.pivots"), 9);
+        assert_eq!(stripped.counter_total("solver.lifts"), 9);
         assert!(stripped.gauges(metrics::POOL_WORKER_UTILIZATION).is_empty());
-        assert_eq!(stripped.events.len(), 3); // start, pivots, end
+        assert_eq!(stripped.events.len(), 3); // start, lifts, end
         for (i, e) in stripped.events.iter().enumerate() {
             assert_eq!(e.seq, i as u64, "seq must stay dense after filtering");
         }
@@ -634,15 +640,15 @@ mod tests {
     fn totals_and_counts() {
         let mut t = Telemetry::new();
         let a = t.start_span("unit");
-        t.counter(a, "solver.pivots", 10);
+        t.counter(a, "solver.lifts", 10);
         t.end_span(a);
         let b = t.start_span("unit");
-        t.counter(b, "solver.pivots", 32);
+        t.counter(b, "solver.lifts", 32);
         t.gauge(b, "sched.chain_depth", 4.5);
         t.end_span(b);
         let trace = t.finish();
         assert_eq!(trace.span_count("unit"), 2);
-        assert_eq!(trace.counter_total("solver.pivots"), 42);
+        assert_eq!(trace.counter_total("solver.lifts"), 42);
         assert_eq!(trace.gauges("sched.chain_depth"), vec![4.5]);
     }
 }

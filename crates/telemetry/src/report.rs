@@ -221,11 +221,11 @@ pub fn render_report(trace: &Trace) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "totals: {} unit(s), {} ops; solver: {} pivots, {} nodes, {} rounds, work {}/{}, {} fallback(s)",
+        "totals: {} unit(s), {} ops; solver: {} lifts, {} augments, {} rounds, work {}/{}, {} fallback(s)",
         rows.len(),
         trace.counter_total(metrics::PROBLEM_OPS),
-        trace.counter_total(metrics::SOLVER_PIVOTS),
-        trace.counter_total(metrics::SOLVER_NODES),
+        trace.counter_total(metrics::SOLVER_LIFTS),
+        trace.counter_total(metrics::SOLVER_AUGMENTS),
         trace.counter_total(metrics::SOLVER_ROUNDS),
         trace.counter_total(metrics::SOLVER_WORK_USED),
         trace.counter_total(metrics::SOLVER_WORK_LIMIT),
@@ -283,7 +283,7 @@ mod tests {
         t.counter(p, metrics::PROBLEM_IFACE_OPS, 5);
         t.end_span(p);
         let s = t.start_span("solve");
-        t.counter(s, metrics::SOLVER_PIVOTS, 321);
+        t.counter(s, metrics::SOLVER_LIFTS, 321);
         t.counter(s, metrics::SOLVER_WORK_USED, 389);
         t.counter(s, metrics::SOLVER_WORK_LIMIT, 4_000_000);
         t.counter(s, metrics::SCHED_STAGES, 2);
@@ -303,7 +303,7 @@ mod tests {
         let r = render_report(&sample());
         assert!(r.contains("ISAX `zol` on core `VexRiscv`"), "{r}");
         assert!(r.contains("setup_zol"), "{r}");
-        assert!(r.contains("321 pivots"), "{r}");
+        assert!(r.contains("321 lifts"), "{r}");
         assert!(r.contains("work 389/4000000"), "{r}");
         assert!(r.contains("in-pipeline"), "{r}");
     }
