@@ -221,6 +221,20 @@ grep -q '"id": "j1", "status": "ok", "exit": 0' "$smoke_dir/serve.out"
 grep -q '"id": "j2", "status": "ok", "exit": 0' "$smoke_dir/serve.out"
 grep -q '"id": "j3", "status": "fault", "exit": 2' "$smoke_dir/serve.out"
 
+echo "== serve: the persistent layer answers a warm rerun with the same result lines"
+# The same 3 jobs twice over one --cache-dir: the cold run stores the two
+# clean bundles, the warm run serves them, and the faulted job bypasses
+# the disk both times. Both runs exit 0 with byte-identical results, which
+# also match the in-memory run above.
+for run in cold warm; do
+    cargo run -q --release -p longnail --bin lnc -- \
+        serve --jobs 2 --fault-plan "$smoke_dir/serve_plan.txt" \
+        --cache-dir "$smoke_dir/serve_qc" \
+        < "$smoke_dir/jobs.jsonl" > "$smoke_dir/serve_$run.out" 2> "$smoke_dir/serve_$run.err"
+done
+diff "$smoke_dir/serve_cold.out" "$smoke_dir/serve_warm.out"
+diff "$smoke_dir/serve.out" "$smoke_dir/serve_cold.out"
+
 echo "== bench gate: deterministic work counters vs BENCH_baseline.json"
 # cargo run -p bench rewrites BENCH_compile.json (gitignored) and compares
 # its deterministic section textually against the checked-in baseline.

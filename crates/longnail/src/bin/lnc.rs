@@ -1,126 +1,80 @@
 //! `lnc` — the Longnail command-line compiler.
 //!
-//! ```text
-//! usage: lnc <file.core_desc> --core <ORCA|Piccolo|PicoRV32|VexRiscv>
-//!            [--unit <InstructionSet>] [--out <dir>]
-//!            [--emit hir|lil|sv|config|datasheet] [--budget <units>]
-//!            [--opt-level <0|1|2>]
-//!            [--trace] [--metrics-out <path>] [--profile-folded <path>]
-//!            [--report] [--xcheck]
-//!        lnc --matrix [--jobs <N>] [--out <dir>] [--budget <units>] [--xcheck]
-//!            [--opt-level <0|1|2>] [--keep-going] [--fault-plan <path>]
-//!            [--summary] [--verbose]
-//!            [--trace] [--metrics-out <path>] [--profile-folded <path>]
-//!            [--cache-dir <dir>] [--cache-mem-bytes <N>]
-//!        lnc serve [--jobs <N>] [--budget <units>] [--fault-plan <path>]
-//!            [--opt-level <0|1|2>] [--cache-dir <dir>] [--cache-mem-bytes <N>]
+//! `lnc --help` prints the synopsis, generated from the flag table
+//! `FLAGS`: each flag's spelling, value, the modes it applies to, and how
+//! its value is checked. A flag outside its modes, a repeated flag, and
+//! the pairs in `CONFLICTS` are one-line `error:`s (exit 1) before any
+//! compile. There are three modes.
 //!
-//! Compiles the CoreDSL description for the selected host core. Without
-//! --emit, writes one SystemVerilog file per instruction/always-block plus
-//! the SCAIE-V configuration YAML into --out (default: the current
-//! directory) and prints a summary. With --emit, prints the requested
-//! representation to stdout instead.
+//! `lnc <file.core_desc> --core <core>` compiles one CoreDSL description
+//! for one host core and writes one SystemVerilog file per
+//! instruction/always-block plus the SCAIE-V configuration YAML into
+//! --out (default: the current directory). --emit prints one
+//! representation to stdout instead, --report prints the per-unit compile
+//! report (schedule, hardware, and solver statistics); --out, --emit and
+//! --report exclude each other. `--emit hir` and `--emit datasheet` print
+//! before compiling, so they exclude --xcheck, --trace, --metrics-out and
+//! --profile-folded.
 //!
-//! --matrix compiles the full evaluation matrix (the eight Table 3 ISAXes
-//! for all four evaluation cores) through a shared frontend cache, fanning
-//! the 32 cells out across --jobs worker threads (default 1). Artifacts
-//! land in --out/<isax>_<core>/: the SystemVerilog per unit, the SCAIE-V
-//! YAML, and the stripped (timing-free) telemetry trace as JSONL. Output
-//! is byte-identical for every --jobs value.
+//! `lnc --matrix` compiles the full evaluation matrix (the eight Table 3
+//! ISAXes for all four evaluation cores) through one shared pipeline
+//! cache, fanning the 32 cells out across --jobs worker threads (default
+//! 1). Artifacts land in `--out/<isax>_<core>/`: the SystemVerilog per
+//! unit, the SCAIE-V YAML, and the stripped (timing-free) trace as JSONL,
+//! plus --out/matrix_summary.json. Output is byte-identical for every
+//! --jobs value. --summary prints the per-stage min/p50/p95/max table with
+//! the critical-path cell, cache attribution, and pool utilization;
+//! --verbose prints one progress line per cell to stderr. --keep-going
+//! grades a batch by what survived: a partially successful batch exits 3
+//! instead of 1/2.
 //!
-//! --xcheck runs the differential X-propagation oracle after compiling:
-//! every generated netlist is re-executed under four-state IEEE-1800
-//! semantics (`rtl::xsim`) against the two-valued interpreter, and the
-//! static X-hazard lint is applied. Any mismatch, X bit escaping to an
-//! output from fully-known stimulus, or hazard finding is an internal
-//! fault (exit 2). In --matrix mode the per-cell checks are fanned across
-//! --jobs workers and each cell's xcheck telemetry lands in
-//! --out/<isax>_<core>/xcheck.jsonl.
-//!
-//! --budget bounds the deterministic solver work per instruction; when the
-//! exact scheduler exhausts it, the instruction degrades to the verified
-//! ASAP fallback and a warning is reported.
-//!
-//! --opt-level {0,1,2} selects the netlist optimization effort (default
-//! 0: no opt stage, byte-identical to the pre-optimizer flow). Levels 1
-//! and 2 run the oracle-gated rewrite pipeline (`rtl::opt`) on every
-//! generated netlist between RTL construction and SystemVerilog emission;
-//! an optimized netlist is only kept when it lints clean and a 32-cycle
-//! lockstep differential simulation against the unoptimized module shows
-//! zero disagreements — otherwise the unit falls back to the unoptimized
-//! netlist with a warning. In serve mode, --opt-level sets the daemon
-//! default and each job may override it with an `"opt_level"` field. The
-//! level is part of the cache key and the persistent schema fingerprint,
-//! so artifact bundles never cross optimization levels.
-//!
-//! --cache-mem-bytes <N> (matrix and serve) caps the shared in-memory
-//! stage cache at ~N bytes; least-recently-used stage artifacts are
-//! evicted (and recomputed on demand) once the estimate exceeds the cap.
-//! Evictions show up in the `cache-stats:` lines.
-//!
-//! Observability: --trace prints the hierarchical stage-span tree with
-//! wall-clock timings to stderr (in --matrix mode, the merged matrix
-//! tree); --metrics-out writes the full telemetry event stream (spans,
-//! counters, gauges, diagnostics) as JSON lines — in --matrix mode the
-//! *merged, unstripped* matrix trace with per-cell spans nested under a
-//! root `matrix` span; --profile-folded writes an inferno/flamegraph-
-//! compatible folded-stack profile (`compile;frontend 1234` lines, self
-//! time in ns); --report prints the per-unit compile report (schedule,
-//! hardware, and solver statistics) to stdout instead of writing
-//! artifacts (single-file mode only).
-//!
-//! Matrix observability: every --matrix run writes matrix_summary.json
-//! (the deterministic, timing-stripped aggregation — byte-identical for
-//! every --jobs value) into --out; --summary additionally prints the
-//! full per-stage min/p50/p95/max table with the critical-path cell,
-//! cache attribution, and per-worker pool utilization to stdout;
-//! --verbose emits a one-line progress summary per cell to stderr.
-//!
-//! --keep-going (matrix only) grades a batch by what survived: cells
-//! are always compiled independently (one faulting cell never stops the
-//! others), and with this flag a partially successful batch exits 3
-//! instead of 1/2, reserving the failure codes for batches where *every*
-//! cell failed.
-//!
-//! --fault-plan injects deterministic faults (panics at stage
-//! boundaries, forced parse errors, solver-budget exhaustion, poisoned
-//! frontend-cache entries) into the cells a plan file names — see
-//! `longnail::faults` for the line format. Chaos testing only.
-//!
-//! --cache-dir <dir> (matrix and serve) persists whole-cell artifact
-//! bundles keyed by content (source + datasheet + options + schema
-//! fingerprint). A warm rerun with nothing changed compiles zero cells
-//! — every bundle's bytes are written back verbatim, so the artifact
-//! tree is byte-identical to the cold run's — and editing one ISAX
-//! recompiles only that ISAX's cells. Per-stage hit/miss attribution
-//! goes to stderr as `cache-stats:` lines. Cells a fault plan targets
-//! bypass the cache in both directions, and cells with errors are never
-//! stored, so deterministic failures keep failing (identically) warm.
-//! Incompatible with --xcheck, which needs in-memory compilations.
-//!
-//! serve runs the compile daemon: line-delimited JSON jobs on stdin
+//! `lnc serve` runs the compile daemon: line-delimited JSON jobs on stdin
 //! (`{"id": ..., "isax": <builtin>, "core": <core>}` or `{"id": ...,
-//! "unit": ..., "core": ..., "src": <CoreDSL text>}`), one JSON result
-//! per job on stdout in input order (`{"id", "status": "ok|error|fault",
-//! "exit": 0|1|2, "units", "message"}`). Jobs fan out over --jobs
-//! workers with matrix-grade per-cell isolation and share one
-//! incremental pipeline cache (plus the persistent layer under
-//! --cache-dir), so repeated jobs replay cached stages instead of
-//! recompiling. The daemon exits 0; per-job failure is data.
+//! "unit": ..., "core": ..., "src": <CoreDSL text>}`, optionally with an
+//! `"opt_level"` override), one JSON result per job on stdout in input
+//! order (`{"id", "status": "ok|error|fault", "exit": 0|1|2, "units",
+//! "message"}`). The daemon exits 0; per-job failure is data.
+//!
+//! --xcheck (single and matrix) runs the differential X-propagation
+//! oracle after compiling: every netlist is re-executed under four-state
+//! IEEE-1800 semantics (`rtl::xsim`) against the two-valued interpreter,
+//! and the static X-hazard lint is applied. Any finding is an internal
+//! fault (exit 2). In matrix mode each cell's oracle telemetry lands in
+//! `--out/<isax>_<core>/xcheck.jsonl`.
+//!
+//! --budget bounds the deterministic solver work per instruction; an
+//! instruction that exhausts it degrades to the verified ASAP fallback
+//! with a warning. --opt-level {0,1,2} selects the oracle-gated netlist
+//! optimization (`rtl::opt`, default 0); the level is part of every cache
+//! key. --fault-plan injects deterministic faults into the cells a plan
+//! file names (see `longnail::faults`); chaos testing only.
+//!
+//! --cache-dir (matrix and serve) persists whole-cell artifact bundles
+//! keyed by content. A warm rerun compiles nothing and writes every
+//! bundle's bytes back verbatim, so the artifact tree is byte-identical to
+//! the cold run's; per-stage attribution goes to stderr as `cache-stats:`
+//! lines. Cells a fault plan targets bypass the cache in both directions,
+//! and cells with errors are never stored. It excludes --xcheck, which
+//! needs in-memory compilations. --cache-mem-bytes caps the in-memory
+//! stage cache (LRU eviction).
+//!
+//! Observability (single and matrix): --trace prints the stage-span tree
+//! with timings to stderr; --metrics-out writes the full telemetry event
+//! stream as JSON lines (in matrix mode the merged, unstripped trace);
+//! --profile-folded writes a flamegraph-compatible folded-stack profile.
 //!
 //! Diagnostics go to stderr. Exit codes: 0 — clean or warnings only;
-//! 1 — at least one unit failed to compile (artifacts for the remaining
-//! units are still written); 2 — an internal compiler fault (verifier,
-//! netlist lint, or a contained panic); 3 — partial success under
-//! --keep-going (some cells failed, at least one compiled).
-//! ```
+//! 1 — a unit failed to compile (the other units are still written) or a
+//! bad command line; 2 — an internal compiler fault; 3 — partial success
+//! under --keep-going.
 
-use longnail::driver::{builtin_datasheet, eval_datasheets, MatrixResult, EVAL_CORES};
-use longnail::{isax_lib, Longnail, Severity};
-use std::path::PathBuf;
+use longnail::driver::{builtin_datasheet, eval_datasheets, EVAL_CORES};
+use longnail::serve::{bundle_units, cell_bundle, run_cells, CellRun, DIAGNOSTICS_FILE};
+use longnail::{isax_lib, CellBundle, Longnail, MatrixCell, PipelineCache, Severity};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Args {
     input: Option<PathBuf>,
     core: Option<String>,
@@ -143,475 +97,419 @@ struct Args {
     serve: bool,
     opt_level: u8,
     cache_mem_bytes: Option<u64>,
+    /// `--help`/`-h`: print the usage to stdout and exit 0.
+    help: bool,
 }
 
 /// The representations `--emit` can print.
 const EMIT_KINDS: [&str; 5] = ["hir", "lil", "sv", "config", "datasheet"];
 
-fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut input = None;
-    let mut core = None;
-    let mut unit = None;
-    let mut out = PathBuf::from(".");
-    let mut emit = None;
-    let mut budget = None;
-    let mut trace = false;
-    let mut metrics_out = None;
-    let mut report = false;
-    let mut matrix = false;
-    let mut jobs = 1usize;
-    let mut xcheck = false;
-    let mut keep_going = false;
-    let mut fault_plan = None;
-    let mut summary = false;
-    let mut verbose = false;
-    let mut profile_folded = None;
-    let mut cache_dir = None;
-    let mut serve = false;
-    let mut opt_level = 0u8;
-    let mut cache_mem_bytes = None;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--core" => core = Some(args.next().ok_or("--core needs a value")?),
-            "--unit" => unit = Some(args.next().ok_or("--unit needs a value")?),
-            "--out" => out = PathBuf::from(args.next().ok_or("--out needs a value")?),
-            "--emit" => {
-                let v = args.next().ok_or("--emit needs a value")?;
-                if !EMIT_KINDS.contains(&v.as_str()) {
-                    return Err(format!(
-                        "--emit: `{v}` is not one of {}",
-                        EMIT_KINDS.join(", ")
-                    ));
-                }
-                emit = Some(v);
+/// Mode bits: the invocation forms a flag applies to, plus `REQUIRED`
+/// for a flag every one of its modes needs.
+const SINGLE: u8 = 1;
+const MATRIX: u8 = 2;
+const SERVE: u8 = 4;
+const ALL: u8 = SINGLE | MATRIX | SERVE;
+const REQUIRED: u8 = 8;
+
+/// Each mode's bit, its name in messages, and its usage prefix.
+const MODES: [(u8, &str, &str); 3] = [
+    (SINGLE, "single-file", "lnc <file.core_desc>"),
+    (MATRIX, "--matrix", "lnc"),
+    (SERVE, "serve", "lnc serve"),
+];
+
+/// One command-line flag.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder in the usage; empty for a switch.
+    metavar: &'static str,
+    /// The modes the flag applies to, and whether it is `REQUIRED`.
+    modes: u8,
+    /// Checks the value and stores it.
+    set: fn(&mut Args, &str) -> Result<(), String>,
+    /// Appended to the message that rejects the flag outside its modes.
+    hint: &'static str,
+}
+
+const fn flag(
+    name: &'static str,
+    metavar: &'static str,
+    modes: u8,
+    set: fn(&mut Args, &str) -> Result<(), String>,
+) -> Flag {
+    Flag {
+        name,
+        metavar,
+        modes,
+        set,
+        hint: "",
+    }
+}
+
+impl Flag {
+    const fn hint(self, hint: &'static str) -> Flag {
+        Flag { hint, ..self }
+    }
+}
+
+/// Stores a flag's value; the table's setters all end here.
+fn store<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// Parses `v` as a number in `range`, or names what it should have been.
+fn num<T: std::str::FromStr + PartialOrd>(
+    v: &str,
+    range: std::ops::RangeInclusive<T>,
+    what: &str,
+) -> Result<T, String> {
+    v.parse()
+        .ok()
+        .filter(|n| range.contains(n))
+        .ok_or_else(|| format!("`{v}` is not {what}"))
+}
+
+/// Every flag, in usage order.
+#[rustfmt::skip]
+static FLAGS: [Flag; 19] = [
+    flag("--core", "ORCA|Piccolo|PicoRV32|VexRiscv", SINGLE | REQUIRED, |a, v| {
+        store(&mut a.core, Some(v.into()))
+    }),
+    flag("--matrix", "", MATRIX | REQUIRED, |a, _| store(&mut a.matrix, true))
+        .hint("serve reads jobs from stdin"),
+    flag("--unit", "InstructionSet", SINGLE, |a, v| store(&mut a.unit, Some(v.into()))),
+    flag("--out", "dir", SINGLE | MATRIX, |a, v| store(&mut a.out, v.into())),
+    flag("--emit", "hir|lil|sv|config|datasheet", SINGLE, |a, v| match EMIT_KINDS.contains(&v) {
+        true => store(&mut a.emit, Some(v.into())),
+        false => Err(format!("`{v}` is not one of {}", EMIT_KINDS.join(", "))),
+    }),
+    flag("--report", "", SINGLE, |a, _| store(&mut a.report, true))
+        .hint("use --summary for a matrix"),
+    flag("--jobs", "N", MATRIX | SERVE, |a, v| {
+        store(&mut a.jobs, num(v, 1..=usize::MAX, "a worker count >= 1")?)
+    }),
+    flag("--budget", "units", ALL, |a, v| {
+        store(&mut a.budget, Some(num(v, 0..=u64::MAX, "a work-unit count")?))
+    }),
+    flag("--opt-level", "0|1|2", ALL, |a, v| store(&mut a.opt_level, num(v, 0..=2, "0, 1, or 2")?)),
+    flag("--fault-plan", "path", ALL, |a, v| store(&mut a.fault_plan, Some(v.into()))),
+    flag("--xcheck", "", SINGLE | MATRIX, |a, _| store(&mut a.xcheck, true)),
+    flag("--keep-going", "", MATRIX, |a, _| store(&mut a.keep_going, true)),
+    flag("--summary", "", MATRIX, |a, _| store(&mut a.summary, true))
+        .hint("use --report for one compilation"),
+    flag("--verbose", "", MATRIX, |a, _| store(&mut a.verbose, true)),
+    flag("--trace", "", SINGLE | MATRIX, |a, _| store(&mut a.trace, true)),
+    flag("--metrics-out", "path", SINGLE | MATRIX, |a, v| store(&mut a.metrics_out, Some(v.into()))),
+    flag("--profile-folded", "path", SINGLE | MATRIX, |a, v| {
+        store(&mut a.profile_folded, Some(v.into()))
+    }),
+    flag("--cache-dir", "dir", MATRIX | SERVE, |a, v| store(&mut a.cache_dir, Some(v.into()))),
+    flag("--cache-mem-bytes", "N", MATRIX | SERVE, |a, v| {
+        store(&mut a.cache_mem_bytes, Some(num(v, 1..=u64::MAX, "a byte count >= 1")?))
+    }),
+];
+
+/// Flag pairs that exclude each other, with the reason.
+#[rustfmt::skip]
+const CONFLICTS: [(&str, &str, &str); 4] = [
+    ("--cache-dir", "--xcheck", "a served cell has no compilation to check"),
+    ("--out", "--emit", "--emit prints instead of writing artifacts"),
+    ("--out", "--report", "--report prints instead of writing artifacts"),
+    ("--emit", "--report", "both print to stdout"),
+];
+
+/// Flags that act on a compilation, which `--emit hir` and `--emit
+/// datasheet` never run.
+const COMPILE_ONLY: [&str; 4] = ["--xcheck", "--trace", "--metrics-out", "--profile-folded"];
+
+fn parse_args_from(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args {
+        out: PathBuf::from("."),
+        jobs: 1,
+        ..Args::default()
+    };
+    let mut given: Vec<&Flag> = Vec::new();
+    while let Some(arg) = argv.next() {
+        if let Some(f) = FLAGS.iter().find(|f| f.name == arg) {
+            if given.iter().any(|g| g.name == f.name) {
+                return Err(format!("`{arg}` given more than once"));
             }
-            "--budget" => {
-                let v = args.next().ok_or("--budget needs a value")?;
-                budget = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--budget: `{v}` is not a work-unit count"))?,
-                );
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs: `{v}` is not a worker count >= 1"))?;
-            }
-            "--matrix" => matrix = true,
-            "--xcheck" => xcheck = true,
-            "--keep-going" => keep_going = true,
-            "--fault-plan" => {
-                fault_plan = Some(PathBuf::from(
-                    args.next().ok_or("--fault-plan needs a value")?,
-                ));
-            }
-            "--trace" => trace = true,
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    args.next().ok_or("--metrics-out needs a value")?,
-                ));
-            }
-            "--report" => report = true,
-            "--summary" => summary = true,
-            "--verbose" => verbose = true,
-            "--profile-folded" => {
-                profile_folded = Some(PathBuf::from(
-                    args.next().ok_or("--profile-folded needs a value")?,
-                ));
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(
-                    args.next().ok_or("--cache-dir needs a value")?,
-                ));
-            }
-            "--opt-level" => {
-                let v = args.next().ok_or("--opt-level needs a value")?;
-                opt_level = v
-                    .parse::<u8>()
-                    .ok()
-                    .filter(|&n| n <= 2)
-                    .ok_or_else(|| format!("--opt-level: `{v}` is not 0, 1, or 2"))?;
-            }
-            "--cache-mem-bytes" => {
-                let v = args.next().ok_or("--cache-mem-bytes needs a value")?;
-                cache_mem_bytes = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--cache-mem-bytes: `{v}` is not a byte count >= 1"))?,
-                );
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`"))
-            }
-            "serve" if !serve && input.is_none() => serve = true,
-            other => {
-                if input.replace(PathBuf::from(other)).is_some() {
-                    return Err("more than one input file".into());
-                }
-            }
+            let value = match f.metavar {
+                "" => String::new(),
+                _ => argv.next().ok_or_else(|| format!("{arg} needs a value"))?,
+            };
+            (f.set)(&mut a, &value).map_err(|e| format!("{arg}: {e}"))?;
+            given.push(f);
+        } else if arg == "--help" || arg == "-h" {
+            return Ok(Args {
+                help: true,
+                ..Args::default()
+            });
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown option `{arg}`"));
+        } else if arg == "serve" && !a.serve && a.input.is_none() {
+            a.serve = true;
+        } else if a.input.replace(PathBuf::from(arg)).is_some() {
+            return Err("more than one input file".into());
         }
     }
-    if serve {
-        // The daemon owns its I/O protocol; everything that shapes
-        // stdout/artifact emission in the other modes is meaningless.
-        if matrix {
-            return Err("serve reads jobs from stdin; drop --matrix".into());
-        }
-        if input.is_some() {
-            return Err("serve reads jobs from stdin; drop the input file".into());
-        }
-        for (set, flag) in [
-            (core.is_some(), "--core"),
-            (unit.is_some(), "--unit"),
-            (emit.is_some(), "--emit"),
-            (report, "--report"),
-            (summary, "--summary"),
-            (verbose, "--verbose"),
-            (xcheck, "--xcheck"),
-            (keep_going, "--keep-going"),
-            (trace, "--trace"),
-            (metrics_out.is_some(), "--metrics-out"),
-            (profile_folded.is_some(), "--profile-folded"),
-        ] {
-            if set {
-                return Err(format!("`{flag}` does not apply to serve mode (allowed: \
-                                    --jobs, --budget, --fault-plan, --cache-dir, \
-                                    --opt-level, --cache-mem-bytes)"));
-            }
-        }
-    } else if cache_dir.is_some() {
-        if xcheck {
-            return Err("--cache-dir serves cells from stored artifacts; --xcheck needs \
-                        in-memory compilations — drop one of them"
-                .into());
-        }
-        if !matrix {
-            return Err("--cache-dir persists matrix/serve cell bundles; add --matrix \
-                        or use serve mode"
-                .into());
-        }
+    let (mode, mode_name, _) = MODES[if a.serve { 2 } else { usize::from(a.matrix) }];
+    if a.input.is_some() && a.serve {
+        return Err("serve reads jobs from stdin; drop the input file".into());
     }
-    if cache_mem_bytes.is_some() && !serve && !matrix {
-        return Err("--cache-mem-bytes bounds the shared matrix/serve stage cache; \
-                    add --matrix or use serve mode"
-            .into());
+    if a.input.is_some() && a.matrix {
+        return Err("--matrix compiles the builtin evaluation matrix; drop the input file".into());
     }
-    if matrix {
-        if input.is_some() {
-            return Err("--matrix compiles the builtin evaluation matrix; drop the input file".into());
-        }
-        if core.is_some() {
-            return Err("--matrix targets every evaluation core; drop --core".into());
-        }
-        if unit.is_some() {
-            return Err("--matrix compiles every builtin ISAX unit; drop --unit".into());
-        }
-        if emit.is_some() {
-            return Err("--emit prints one representation; it does not apply to --matrix".into());
-        }
-        if report {
-            return Err(
-                "--report is the single-compilation report; use --summary for a matrix".into(),
-            );
-        }
-    } else if !serve {
-        if keep_going {
-            return Err("--keep-going only applies to --matrix batches".into());
-        }
-        if summary {
-            return Err("--summary aggregates a matrix; use --report for one compilation".into());
-        }
-        if verbose {
-            return Err("--verbose reports per-cell matrix progress; drop it or add --matrix".into());
-        }
-        if input.is_none() {
-            return Err("missing input file".into());
-        }
-        if core.is_none() {
+    if let Some(f) = given.iter().find(|f| f.modes & mode == 0) {
+        let only: Vec<&str> = MODES
+            .iter()
+            .filter(|m| f.modes & m.0 != 0)
+            .map(|m| m.1)
+            .collect();
+        let (name, only) = (f.name, only.join(", "));
+        let hint = match f.hint {
+            "" => String::new(),
+            hint => format!("; {hint}"),
+        };
+        return Err(format!(
+            "`{name}` does not apply to {mode_name} mode (only {only}){hint}"
+        ));
+    }
+    let has = |name: &str| given.iter().any(|f| f.name == name);
+    if let Some((x, y, why)) = CONFLICTS.iter().find(|(x, y, _)| has(x) && has(y)) {
+        return Err(format!("`{x}` and `{y}` exclude each other: {why}"));
+    }
+    if let Some(kind @ ("hir" | "datasheet")) = a.emit.as_deref() {
+        if let Some(f) = given.iter().find(|f| COMPILE_ONLY.contains(&f.name)) {
             return Err(format!(
-                "missing --core (one of: {})",
-                EVAL_CORES.join(", ")
+                "`--emit {kind}` prints before compiling; drop `{}`",
+                f.name
             ));
         }
     }
-    Ok(Args {
-        input,
-        core,
-        unit,
-        out,
-        emit,
-        budget,
-        trace,
-        metrics_out,
-        report,
-        matrix,
-        jobs,
-        xcheck,
-        keep_going,
-        fault_plan,
-        summary,
-        verbose,
-        profile_folded,
-        cache_dir,
-        serve,
-        opt_level,
-        cache_mem_bytes,
-    })
-}
-
-fn usage() {
-    eprintln!(
-        "usage: lnc <file.core_desc> --core <{}> [--unit <InstructionSet>] \
-         [--out <dir>] [--emit hir|lil|sv|config|datasheet] [--budget <units>] \
-         [--opt-level <0|1|2>] \
-         [--trace] [--metrics-out <path>] [--profile-folded <path>] [--report] [--xcheck]\n\
-         \u{20}      lnc --matrix [--jobs <N>] [--out <dir>] [--budget <units>] [--xcheck] \
-         [--opt-level <0|1|2>] [--keep-going] [--fault-plan <path>] [--summary] [--verbose] \
-         [--trace] [--metrics-out <path>] [--profile-folded <path>] [--cache-dir <dir>] \
-         [--cache-mem-bytes <N>]\n\
-         \u{20}      lnc serve [--jobs <N>] [--budget <units>] [--fault-plan <path>] \
-         [--opt-level <0|1|2>] [--cache-dir <dir>] [--cache-mem-bytes <N>]",
-        EVAL_CORES.join("|")
-    );
-}
-
-/// Maps the accumulated diagnostics to the process exit code.
-fn exit_for(compiled: &longnail::CompiledIsax) -> ExitCode {
-    match compiled.diagnostics.worst() {
-        Some(Severity::Fault) => ExitCode::from(2),
-        Some(Severity::Error) => ExitCode::FAILURE,
-        _ => ExitCode::SUCCESS,
+    if mode == SINGLE && a.input.is_none() {
+        return Err("missing input file".into());
     }
+    let required = REQUIRED | mode;
+    if let Some(f) = FLAGS
+        .iter()
+        .find(|f| f.modes & required == required && !has(f.name))
+    {
+        return Err(format!("missing {} <{}>", f.name, f.metavar));
+    }
+    Ok(a)
+}
+
+/// The usage synopsis, one line group per mode, generated from `FLAGS`.
+fn usage() -> String {
+    let mut text = String::new();
+    for (i, (bit, _, prefix)) in MODES.iter().enumerate() {
+        let mut line = format!("{}{prefix}", if i == 0 { "usage: " } else { "       " });
+        for f in FLAGS.iter().filter(|f| f.modes & bit != 0) {
+            let item = match f.metavar {
+                "" => f.name.to_string(),
+                m => format!("{} <{m}>", f.name),
+            };
+            let item = match f.modes & REQUIRED {
+                0 => format!("[{item}]"),
+                _ => item,
+            };
+            if line.len() + 1 + item.len() > 79 {
+                text += &line;
+                text.push('\n');
+                line = " ".repeat(10);
+            }
+            line.push(' ');
+            line += &item;
+        }
+        text += &line;
+        text.push('\n');
+    }
+    text
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args_from(std::env::args().skip(1)) {
+        Ok(a) if a.help => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Ok(a) => a,
+        Err(msg) => {
+            eprint!("error: {msg}\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    match run(&args) {
+        Ok(code) | Err(code) => code,
+    }
+}
+
+/// Reports `msg` as an `error:` line and returns exit code 1.
+fn fail(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::FAILURE
+}
+
+fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), ExitCode> {
+    std::fs::write(path, contents)
+        .map_err(|e| fail(format_args!("cannot write {}: {e}", path.display())))
+}
+
+fn create_dir(dir: &Path) -> Result<(), ExitCode> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| fail(format_args!("cannot create {}: {e}", dir.display())))
+}
+
+/// The exit code a diagnostic severity maps to: 2 for a fault, 1 for an
+/// error, 0 otherwise.
+fn grade(worst: Option<Severity>) -> u8 {
+    match worst {
+        Some(Severity::Fault) => 2,
+        Some(Severity::Error) => 1,
+        _ => 0,
+    }
+}
+
+/// Runs the parsed command line; `Err` carries the exit code of an
+/// early failure that was already reported.
+fn run(args: &Args) -> Result<ExitCode, ExitCode> {
+    let mut ln = Longnail::new();
+    if let Some(b) = args.budget {
+        ln.work_limit = b;
+    }
+    ln.opt_level = longnail::OptLevel::from_level(args.opt_level).expect("validated in parse_args");
+    if let Some(path) = &args.fault_plan {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| fail(format_args!("cannot read {}: {e}", path.display())))?;
+        let plan = longnail::FaultPlan::parse(&text)
+            .map_err(|e| fail(format_args!("{}: {e}", path.display())))?;
+        ln.fault_plan = Some(plan);
+    }
+    if args.serve {
+        let pipe = build_cache(&ln, args)?;
+        let mut input = String::new();
+        std::io::Read::read_to_string(&mut std::io::stdin(), &mut input)
+            .map_err(|e| fail(format_args!("cannot read jobs from stdin: {e}")))?;
+        // Per-job failures are result lines; the daemon itself exits 0.
+        longnail::serve::run_serve(&ln, &pipe, args.jobs, &input, &mut std::io::stdout().lock())
+            .map_err(|e| fail(format_args!("cannot write results: {e}")))?;
+        return Ok(ExitCode::SUCCESS);
+    }
+    if args.matrix {
+        return run_matrix(&ln, args);
+    }
+    run_single(&mut ln, args)
 }
 
 /// Builds the run's pipeline cache: in-memory only, or backed by the
 /// persistent `--cache-dir` layer (whose schema fingerprint folds in the
-/// compiler's config fingerprint). `--cache-mem-bytes` caps the byte-
-/// accounted in-memory layer.
-fn build_cache(
-    cache_dir: Option<&std::path::Path>,
-    ln: &Longnail,
-    cache_mem_bytes: Option<u64>,
-) -> Result<longnail::PipelineCache, ExitCode> {
-    let pipe = match cache_dir {
-        Some(dir) => longnail::PipelineCache::with_disk(dir, &ln.config_fingerprint()).map_err(
-            |e| {
-                eprintln!("error: cannot open cache dir {}: {e}", dir.display());
-                ExitCode::FAILURE
-            },
-        )?,
-        None => longnail::PipelineCache::new(),
+/// compiler's config fingerprint), capped at `--cache-mem-bytes`.
+fn build_cache(ln: &Longnail, args: &Args) -> Result<PipelineCache, ExitCode> {
+    let pipe = match &args.cache_dir {
+        Some(dir) => PipelineCache::with_disk(dir, &ln.config_fingerprint())
+            .map_err(|e| fail(format_args!("cannot open cache dir {}: {e}", dir.display())))?,
+        None => PipelineCache::new(),
     };
-    pipe.store().set_capacity(cache_mem_bytes);
+    pipe.store().set_capacity(args.cache_mem_bytes);
     Ok(pipe)
 }
 
 /// Compiles and writes the full evaluation matrix. With `--cache-dir`,
 /// cells whose content key matches a stored bundle are served from disk
 /// verbatim and only the rest are compiled.
-fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
-    use longnail::serve::{bundle_units, fault_bypassed, probe_cell, store_cell, DIAGNOSTICS_FILE};
-    let isaxes = isax_lib::all_isaxes();
-    let cores = eval_datasheets();
-    let pipe = match build_cache(args.cache_dir.as_deref(), ln, args.cache_mem_bytes) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+fn run_matrix(ln: &Longnail, args: &Args) -> Result<ExitCode, ExitCode> {
+    let cells = MatrixCell::grid(&isax_lib::all_isaxes(), &eval_datasheets());
+    let pipe = build_cache(ln, args)?;
     let t0 = std::time::Instant::now();
-    let all_cells = longnail::MatrixCell::grid(&isaxes, &cores);
-    // Probe the persistent layer first: a hit serves the whole cell's
-    // artifact bundle verbatim; only the misses get compiled.
-    let mut served: Vec<Option<longnail::CellBundle>> = (0..all_cells.len()).map(|_| None).collect();
-    let mut probed = 0u64;
-    if let Some(disk) = pipe.disk() {
-        for (i, cell) in all_cells.iter().enumerate() {
-            if !fault_bypassed(ln, cell) {
-                probed += 1;
-                served[i] = probe_cell(disk, ln, cell);
-            }
-        }
-    }
-    let miss_idx: Vec<usize> = (0..all_cells.len()).filter(|&i| served[i].is_none()).collect();
-    let miss_cells: Vec<longnail::MatrixCell> =
-        miss_idx.iter().map(|&i| all_cells[i].clone()).collect();
-    let matrix: MatrixResult = ln.compile_cells(&miss_cells, args.jobs, &pipe);
+    let batch = run_cells(ln, &cells, args.jobs, &pipe);
     let wall = t0.elapsed();
-    let frontend = matrix.stage("frontend");
-    let mut entry_at: Vec<Option<usize>> = vec![None; all_cells.len()];
-    for (k, &i) in miss_idx.iter().enumerate() {
-        entry_at[i] = Some(k);
-    }
+    let matrix = batch.matrix();
     let mut worst = 0u8;
     let (mut failed_cells, mut clean_cells) = (0usize, 0usize);
-    // Stripped traces of disk-served cells, re-parsed for aggregation:
-    // a stripped trace carries exactly the deterministic view the
-    // summary needs, so warm summaries stay byte-identical to cold.
-    let mut served_traces: Vec<Option<telemetry::Trace>> = (0..all_cells.len()).map(|_| None).collect();
-    for (i, cell) in all_cells.iter().enumerate() {
-        let core = &cell.datasheet.core;
-        let cell_dir = args.out.join(format!("{}_{}", cell.isax, core));
-        if let Err(e) = std::fs::create_dir_all(&cell_dir) {
-            eprintln!("error: cannot create {}: {e}", cell_dir.display());
-            return ExitCode::FAILURE;
-        }
-        if let Some(bundle) = &served[i] {
-            // Warm path: the stored bytes are what the cold run wrote,
-            // so byte-identity holds by construction.
-            for (name, contents) in &bundle.files {
-                if name.starts_with("__") {
+    for (cell, run) in cells.iter().zip(batch.runs()) {
+        let (isax, core) = (&cell.isax, &cell.datasheet.core);
+        let cell_dir = args.out.join(format!("{isax}_{core}"));
+        create_dir(&cell_dir)?;
+        let fresh: CellBundle;
+        let (bundle, fresh_trace) = match run {
+            CellRun::Served(bundle) => {
+                clean_cells += 1;
+                (bundle, None)
+            }
+            CellRun::Compiled(entry) => match &entry.outcome {
+                Ok(compiled) => {
+                    worst = worst.max(grade(compiled.diagnostics.worst()));
+                    if compiled.diagnostics.has_errors() {
+                        failed_cells += 1;
+                    } else {
+                        clean_cells += 1;
+                    }
+                    fresh = cell_bundle(compiled);
+                    (&fresh, Some(&compiled.trace))
+                }
+                Err(e) => {
+                    if e.frontend_errors.is_empty() {
+                        eprintln!("{}: {isax}×{core}: {e}", e.severity);
+                    }
+                    for d in &e.frontend_errors {
+                        eprintln!("error: {isax}×{core}: [frontend] {d}");
+                    }
+                    worst = worst.max(grade(Some(e.severity)));
+                    failed_cells += 1;
+                    if args.verbose {
+                        eprintln!("cell {isax}_{core}: failed [{}] {}", e.stage, e.message);
+                    }
                     continue;
                 }
-                let path = cell_dir.join(name);
-                if let Err(e) = std::fs::write(&path, contents) {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(diags) = bundle.file(DIAGNOSTICS_FILE) {
-                eprint!(
-                    "{}",
-                    diags
-                        .lines()
-                        .map(|l| format!("{}×{core}: {l}\n", cell.isax))
-                        .collect::<String>()
-                );
-            }
-            served_traces[i] = bundle
-                .file("trace.jsonl")
-                .and_then(|t| telemetry::Trace::from_jsonl(t).ok());
-            clean_cells += 1;
-            println!(
-                "compiled {:<14} for {:<9} -> {} unit(s)",
-                cell.isax,
-                core,
-                bundle_units(bundle)
-            );
-            if args.verbose {
-                eprintln!(
-                    "cell {}_{core}: ok {} unit(s), served from cell cache",
-                    cell.isax,
-                    bundle_units(bundle)
-                );
-            }
-            continue;
-        }
-        let entry = &matrix.entries[entry_at[i].expect("every probe miss was compiled")];
-        let compiled = match &entry.outcome {
-            Ok(c) => c,
-            Err(e) => {
-                if e.frontend_errors.is_empty() {
-                    eprintln!("{}: {}×{}: {e}", e.severity, entry.isax, entry.core);
-                } else {
-                    for d in &e.frontend_errors {
-                        eprintln!("error: {}×{}: [frontend] {d}", entry.isax, entry.core);
-                    }
-                }
-                worst = worst.max(if e.severity == Severity::Fault { 2 } else { 1 });
-                failed_cells += 1;
-                if args.verbose {
-                    eprintln!(
-                        "cell {}_{}: failed [{}] {}",
-                        entry.isax, entry.core, e.stage, e.message
-                    );
-                }
-                continue;
-            }
+            },
         };
-        if !compiled.diagnostics.is_empty() {
+        // One writer for fresh and served cells: a served bundle holds the
+        // bytes the cold run wrote, so byte-identity holds by construction.
+        for (name, contents) in bundle.files.iter().filter(|(n, _)| !n.starts_with("__")) {
+            write(&cell_dir.join(name), contents)?;
+        }
+        if let Some(diags) = bundle.file(DIAGNOSTICS_FILE) {
             eprint!(
                 "{}",
-                compiled
-                    .diagnostics
-                    .render()
+                diags
                     .lines()
-                    .map(|l| format!("{}×{}: {l}\n", entry.isax, entry.core))
+                    .map(|l| format!("{isax}×{core}: {l}\n"))
                     .collect::<String>()
             );
         }
-        worst = worst.max(match compiled.diagnostics.worst() {
-            Some(Severity::Fault) => 2,
-            Some(Severity::Error) => 1,
-            _ => 0,
-        });
-        if compiled.diagnostics.has_errors() {
-            failed_cells += 1;
-        } else {
-            clean_cells += 1;
-        }
-        for g in &compiled.graphs {
-            let path = cell_dir.join(format!("{}_{}.sv", compiled.name, g.name));
-            if let Err(e) = std::fs::write(&path, &g.verilog) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        let config_path = cell_dir.join(format!("{}.scaiev.yaml", compiled.name));
-        if let Err(e) = std::fs::write(&config_path, compiled.config.to_yaml()) {
-            eprintln!("error: cannot write {}: {e}", config_path.display());
-            return ExitCode::FAILURE;
-        }
-        // The stripped trace is the deterministic projection: byte-equal
-        // for every --jobs value, which ci.sh's determinism gate diffs.
-        let trace_path = cell_dir.join("trace.jsonl");
-        if let Err(e) = std::fs::write(&trace_path, compiled.trace.stripped().to_jsonl()) {
-            eprintln!("error: cannot write {}: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-        if let Some(disk) = pipe.disk() {
-            // Persist the clean bundle (store_cell refuses errored
-            // compiles) so the next run serves this cell from disk.
-            if !fault_bypassed(ln, cell) {
-                if let Err(e) = store_cell(disk, ln, cell, compiled) {
-                    eprintln!("warning: cell cache store failed: {e}");
-                }
-            }
-        }
-        println!(
-            "compiled {:<14} for {:<9} -> {} unit(s)",
-            entry.isax,
-            entry.core,
-            compiled.graphs.len()
-        );
+        let units = bundle_units(bundle);
+        println!("compiled {isax:<14} for {core:<9} -> {units} unit(s)");
         if args.verbose {
-            let stage_spans: usize = telemetry::STAGES
-                .iter()
-                .map(|s| compiled.trace.span_count(s))
-                .sum();
-            eprintln!(
-                "cell {}_{}: ok {} unit(s), {} stage span(s), {} cache hit(s)",
-                entry.isax,
-                entry.core,
-                compiled.graphs.len(),
-                stage_spans,
-                compiled
-                    .trace
-                    .counter_total(telemetry::metrics::CACHE_FRONTEND_HIT)
-            );
+            match fresh_trace {
+                None => eprintln!("cell {isax}_{core}: ok {units} unit(s), served from cell cache"),
+                Some(trace) => eprintln!(
+                    "cell {isax}_{core}: ok {units} unit(s), {} stage span(s), {} cache hit(s)",
+                    telemetry::STAGES
+                        .iter()
+                        .map(|s| trace.span_count(s))
+                        .sum::<usize>(),
+                    trace.counter_total(telemetry::metrics::CACHE_FRONTEND_HIT)
+                ),
+            }
         }
     }
     if args.xcheck {
         // Fan the per-cell differential checks across the same worker
-        // count as the compile; results come back in deterministic input
-        // order regardless of scheduling.
-        let reports: Vec<Option<longnail::XCheckReport>> =
-            pool::run_indexed(matrix.entries.len(), args.jobs, |i| {
-                matrix.entries[i]
-                    .outcome
-                    .as_ref()
-                    .ok()
-                    .map(longnail::xcheck_compiled)
-            });
-        let mut cells = 0u64;
-        let (mut mism, mut xbits, mut hazards) = (0u64, 0u64, 0u64);
+        // count as the compile; results come back in input order.
+        let reports = pool::run_indexed(matrix.entries.len(), args.jobs, |i| {
+            matrix.entries[i]
+                .outcome
+                .as_ref()
+                .ok()
+                .map(longnail::xcheck_compiled)
+        });
+        let (mut checked, mut mism, mut xbits, mut hazards) = (0u64, 0u64, 0u64, 0u64);
         for (entry, report) in matrix.entries.iter().zip(&reports) {
             let Some(report) = report else { continue };
-            cells += 1;
+            checked += 1;
             mism += report.mismatches();
             xbits += report.x_output_bits();
             hazards += report.lint_findings();
@@ -619,145 +517,55 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
                 eprintln!("{}×{}: xcheck: {p}", entry.isax, entry.core);
             }
             let cell_dir = args.out.join(format!("{}_{}", entry.isax, entry.core));
-            let path = cell_dir.join("xcheck.jsonl");
-            if let Err(e) = std::fs::write(&path, report.trace.stripped().to_jsonl()) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write(
+                &cell_dir.join("xcheck.jsonl"),
+                report.trace.stripped().to_jsonl(),
+            )?;
             if !report.is_clean() {
-                worst = worst.max(2);
+                worst = 2;
             }
         }
         println!(
-            "xcheck: {cells} cell(s), {mism} mismatch(es), {xbits} X output bit(s), \
+            "xcheck: {checked} cell(s), {mism} mismatch(es), {xbits} X output bit(s), \
              {hazards} hazard(s)"
         );
     }
-    // --- Matrix observability: aggregation, summary, merged trace ---
-    // Disk-served cells contribute their stored stripped trace; compiled
-    // cells their live one. Both reduce to the same deterministic view.
-    let cell_traces: Vec<(String, &telemetry::Trace)> = all_cells
-        .iter()
-        .enumerate()
-        .filter_map(|(i, cell)| {
-            let name = format!("{}_{}", cell.isax, cell.datasheet.core);
-            if let Some(t) = &served_traces[i] {
-                return Some((name, t));
-            }
-            entry_at[i]
-                .and_then(|k| matrix.entries[k].outcome.as_ref().ok())
-                .map(|c| (name, &c.trace))
-        })
-        .collect();
-    let mut summary = telemetry::aggregate::summarize(&cell_traces);
-    // Batch-level fields come from the authoritative MatrixResult (failed
-    // cells have no trace for the aggregator to see).
-    summary.cells = all_cells.len() as u64;
-    summary.jobs = matrix.jobs as u64;
-    summary.cache_hits = frontend.hits;
-    summary.cache_misses = frontend.misses;
-    summary.cell_faults = matrix.cell_faults;
-    summary.errors_recovered = matrix.errors_recovered;
-    summary.pool_wall_ns = matrix.pool_stats.wall_ns;
-    // Per-stage cache attribution: the compile run's hit/miss deltas,
-    // plus one credited hit per stage span a disk-served bundle would
-    // have recomputed. The synthetic `cell` row counts whole-bundle
-    // probes of the persistent layer.
-    let served_count = served.iter().flatten().count() as u64;
-    for stage in telemetry::STAGES {
-        let d = matrix.stage(stage);
-        let credit: u64 = served_traces
-            .iter()
-            .flatten()
-            .map(|t| t.span_count(stage) as u64)
-            .sum();
-        summary.stage_cache.push(telemetry::aggregate::StageCacheSummary {
-            stage: stage.to_string(),
-            hits: d.hits + credit,
-            misses: d.misses,
-            waits: d.waits,
-        });
-    }
-    summary.stage_cache.push(telemetry::aggregate::StageCacheSummary {
-        stage: "cell".to_string(),
-        hits: served_count,
-        misses: probed - served_count,
-        waits: 0,
-    });
+    let summary = batch.summary();
     if args.cache_dir.is_some() {
         for r in &summary.stage_cache {
-            eprintln!("cache-stats: {} hits={} misses={}", r.stage, r.hits, r.misses);
+            eprintln!(
+                "cache-stats: {} hits={} misses={}",
+                r.stage, r.hits, r.misses
+            );
         }
-    }
-    for (w, ws) in matrix.pool_stats.per_worker.iter().enumerate() {
-        summary.pool.push(telemetry::aggregate::PoolWorkerSummary {
-            jobs: ws.jobs,
-            busy_ns: ws.busy_ns,
-            utilization: matrix.pool_stats.utilization(w),
-        });
     }
     // matrix_summary.json is the deterministic projection — part of the
     // artifact tree ci.sh diffs across --jobs values.
-    let summary_path = args.out.join("matrix_summary.json");
-    if let Err(e) = std::fs::write(&summary_path, summary.stripped().to_json()) {
-        eprintln!("error: cannot write {}: {e}", summary_path.display());
-        return ExitCode::FAILURE;
-    }
+    write(
+        &args.out.join("matrix_summary.json"),
+        summary.stripped().to_json(),
+    )?;
     if args.summary {
         print!("{}", summary.render());
     }
     if args.trace || args.metrics_out.is_some() || args.profile_folded.is_some() {
-        use telemetry::metrics;
-        let matrix_counters = vec![
-            (metrics::CACHE_FRONTEND_HIT.to_string(), frontend.hits),
-            (metrics::CACHE_FRONTEND_MISS.to_string(), frontend.misses),
-            (
-                metrics::POOL_QUEUE_WAIT_NS.to_string(),
-                matrix.pool_stats.queue_wait_total_ns(),
-            ),
-            (
-                metrics::POOL_RUN_NS.to_string(),
-                matrix.pool_stats.run_total_ns(),
-            ),
-            (metrics::POOL_WALL_NS.to_string(), matrix.pool_stats.wall_ns),
-        ];
-        let matrix_gauges: Vec<(String, f64)> = (0..matrix.pool_stats.per_worker.len())
-            .map(|w| {
-                (
-                    metrics::POOL_WORKER_UTILIZATION.to_string(),
-                    matrix.pool_stats.utilization(w),
-                )
-            })
-            .collect();
-        let merged = telemetry::aggregate::merge_traces(
-            &cell_traces,
-            &matrix_counters,
-            &matrix_gauges,
-            matrix.pool_stats.wall_ns,
-        );
+        let merged = batch.merged_trace();
         if args.trace {
             eprint!("{}", telemetry::report::render_tree(&merged));
         }
         if let Some(path) = &args.metrics_out {
-            // The merged stream keeps full timings and the pool/cache
-            // metrics — the *unstripped* matrix view.
-            if let Err(e) = std::fs::write(path, merged.to_jsonl()) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write(path, merged.to_jsonl())?;
         }
         if let Some(path) = &args.profile_folded {
-            if let Err(e) = std::fs::write(path, telemetry::folded::render_folded(&merged)) {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write(path, telemetry::folded::render_folded(&merged))?;
         }
     }
     // Wall time is nondeterministic; keep it off stdout so stdout stays
     // comparable across runs.
+    let frontend = matrix.stage("frontend");
     eprintln!(
         "matrix: {} cell(s), {} job(s), frontend cache {} hit(s) / {} miss(es), {:.1} ms",
-        all_cells.len(),
+        cells.len(),
         matrix.jobs,
         frontend.hits,
         frontend.misses,
@@ -766,8 +574,8 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     if args.cache_dir.is_some() {
         eprintln!(
             "cell cache: {} served, {} compiled",
-            served_count,
-            miss_cells.len()
+            batch.served_count(),
+            matrix.entries.len()
         );
     }
     if matrix.cell_faults > 0 || matrix.errors_recovered > 0 {
@@ -782,110 +590,41 @@ fn run_matrix(ln: &Longnail, args: &Args) -> ExitCode {
     // --keep-going grades the batch by what survived: a partial success
     // exits 3, and the hard failure codes mean *nothing* compiled.
     if args.keep_going && worst > 0 && failed_cells > 0 && clean_cells > 0 {
-        return ExitCode::from(3);
+        return Ok(ExitCode::from(3));
     }
-    match worst {
-        0 => ExitCode::SUCCESS,
-        1 => ExitCode::FAILURE,
-        _ => ExitCode::from(2),
-    }
+    Ok(ExitCode::from(worst))
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args_from(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut ln = Longnail::new();
-    if let Some(b) = args.budget {
-        ln.work_limit = b;
-    }
-    ln.opt_level = longnail::OptLevel::from_level(args.opt_level).expect("validated in parse_args");
-    if let Some(path) = &args.fault_plan {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match longnail::FaultPlan::parse(&text) {
-            Ok(plan) => ln.fault_plan = Some(plan),
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if args.serve {
-        let pipe = match build_cache(args.cache_dir.as_deref(), &ln, args.cache_mem_bytes) {
-            Ok(p) => p,
-            Err(code) => return code,
-        };
-        let mut input = String::new();
-        use std::io::Read;
-        if let Err(e) = std::io::stdin().read_to_string(&mut input) {
-            eprintln!("error: cannot read jobs from stdin: {e}");
-            return ExitCode::FAILURE;
-        }
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        // Per-job failures are result lines; the daemon itself exits 0.
-        return match longnail::serve::run_serve(&ln, &pipe, args.jobs, &input, &mut out) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: cannot write results: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.matrix {
-        return run_matrix(&ln, &args);
-    }
+/// Compiles one CoreDSL file for one core.
+fn run_single(ln: &mut Longnail, args: &Args) -> Result<ExitCode, ExitCode> {
     let core = args.core.as_deref().expect("validated in parse_args");
     let input = args.input.as_deref().expect("validated in parse_args");
-    let Some(datasheet) = builtin_datasheet(core) else {
-        eprintln!(
-            "error: unknown core `{core}` (known: {})",
+    let datasheet = builtin_datasheet(core).ok_or_else(|| {
+        fail(format_args!(
+            "unknown core `{core}` (known: {})",
             EVAL_CORES.join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let src = match std::fs::read_to_string(input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", input.display());
-            return ExitCode::FAILURE;
-        }
-    };
+        ))
+    })?;
+    let src = std::fs::read_to_string(input)
+        .map_err(|e| fail(format_args!("cannot read {}: {e}", input.display())))?;
     let unit = args.unit.clone().unwrap_or_else(|| {
         input
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default()
     });
-    // --emit hir needs the typed module before HLS.
-    if args.emit.as_deref() == Some("hir") {
-        return match ln.frontend_mut().compile_str(&src, &unit) {
-            Ok(module) => {
-                print!("{}", ir::hirprint::print_module(&module));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.emit.as_deref() == Some("datasheet") {
-        print!("{}", datasheet.to_yaml());
-        return ExitCode::SUCCESS;
+    match args.emit.as_deref() {
+        // --emit hir needs the typed module before HLS.
+        Some("hir") => {
+            let module = ln.frontend_mut().compile_str(&src, &unit).map_err(fail)?;
+            print!("{}", ir::hirprint::print_module(&module));
+            return Ok(ExitCode::SUCCESS);
+        }
+        Some("datasheet") => {
+            print!("{}", datasheet.to_yaml());
+            return Ok(ExitCode::SUCCESS);
+        }
+        _ => {}
     }
     // A panic anywhere in the flow is an internal fault (exit 2), not a
     // crash: report it like any other diagnostic.
@@ -903,20 +642,14 @@ fn main() -> ExitCode {
             } else {
                 eprintln!("error: {e}");
             }
-            return if e.severity == Severity::Fault {
-                ExitCode::from(2)
-            } else {
-                ExitCode::FAILURE
-            };
+            return Ok(ExitCode::from(grade(Some(e.severity))));
         }
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".into());
-            eprintln!("internal fault: compiler panicked: {msg}");
-            return ExitCode::from(2);
+            eprintln!(
+                "internal fault: compiler panicked: {}",
+                pool::panic_message(payload.as_ref())
+            );
+            return Ok(ExitCode::from(2));
         }
     };
     if !compiled.diagnostics.is_empty() {
@@ -926,16 +659,10 @@ fn main() -> ExitCode {
         eprint!("{}", telemetry::report::render_tree(&compiled.trace));
     }
     if let Some(path) = &args.metrics_out {
-        if let Err(e) = std::fs::write(path, compiled.trace.to_jsonl()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write(path, compiled.trace.to_jsonl())?;
     }
     if let Some(path) = &args.profile_folded {
-        if let Err(e) = std::fs::write(path, telemetry::folded::render_folded(&compiled.trace)) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write(path, telemetry::folded::render_folded(&compiled.trace))?;
     }
     if args.xcheck {
         let report = longnail::xcheck_compiled(&compiled);
@@ -949,39 +676,23 @@ fn main() -> ExitCode {
         if !report.is_clean() {
             // A divergence between the emitted SystemVerilog's semantics
             // and the interpreter is a compiler fault, not a user error.
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     }
     if args.report {
         print!("{}", telemetry::report::render_report(&compiled.trace));
-        return exit_for(&compiled);
     }
     match args.emit.as_deref() {
-        Some("lil") => {
-            for g in &compiled.graphs {
-                print!("{}", g.graph);
-            }
-        }
-        Some("sv") => {
-            for g in &compiled.graphs {
-                print!("{}", g.verilog);
-            }
-        }
+        Some("lil") => compiled.graphs.iter().for_each(|g| print!("{}", g.graph)),
+        Some("sv") => compiled.graphs.iter().for_each(|g| print!("{}", g.verilog)),
         Some("config") => print!("{}", compiled.config.to_yaml()),
         Some(_) => unreachable!("--emit validated in parse_args"),
+        None if args.report => {}
         None => {
-            if let Err(e) = std::fs::create_dir_all(&args.out) {
-                eprintln!("error: cannot create {}: {e}", args.out.display());
-                return ExitCode::FAILURE;
-            }
+            create_dir(&args.out)?;
             for g in &compiled.graphs {
-                let path = args
-                    .out
-                    .join(format!("{}_{}.sv", compiled.name, g.name));
-                if let Err(e) = std::fs::write(&path, &g.verilog) {
-                    eprintln!("error: cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
+                let path = args.out.join(format!("{}_{}.sv", compiled.name, g.name));
+                write(&path, &g.verilog)?;
                 println!(
                     "wrote {:<40} {:>6} stages, mode {}",
                     path.display(),
@@ -990,21 +701,17 @@ fn main() -> ExitCode {
                 );
             }
             let config_path = args.out.join(format!("{}.scaiev.yaml", compiled.name));
-            if let Err(e) = std::fs::write(&config_path, compiled.config.to_yaml()) {
-                eprintln!("error: cannot write {}: {e}", config_path.display());
-                return ExitCode::FAILURE;
-            }
+            write(&config_path, compiled.config.to_yaml())?;
             println!("wrote {}", config_path.display());
             println!(
-                "\n{}: {} instruction(s), {} always-block(s) compiled for {}",
+                "\n{}: {} instruction(s), {} always-block(s) compiled for {core}",
                 compiled.name,
                 compiled.instructions().count(),
-                compiled.always_blocks().count(),
-                core
+                compiled.always_blocks().count()
             );
         }
     }
-    exit_for(&compiled)
+    Ok(ExitCode::from(grade(compiled.diagnostics.worst())))
 }
 
 #[cfg(test)]
@@ -1194,5 +901,80 @@ mod tests {
         assert!(a.trace && a.report);
         assert_eq!(a.metrics_out, Some(PathBuf::from("m.jsonl")));
         assert!(parse(&["x", "--core", "ORCA", "--budget", "lots"]).is_err());
+    }
+
+    /// A value for `f` that passes its own check: the first listed
+    /// choice, else a count (which also names a path).
+    fn sample(f: &Flag) -> Option<&'static str> {
+        match f.metavar {
+            "" => None,
+            m if m.contains('|') => m.split('|').next(),
+            _ => Some("4"),
+        }
+    }
+
+    #[test]
+    fn every_flag_is_rejected_in_every_mode_it_does_not_list() {
+        let bases: [(u8, &[&str]); 3] = [
+            (SINGLE, &["x.core_desc", "--core", "ORCA"]),
+            (MATRIX, &["--matrix"]),
+            (SERVE, &["serve"]),
+        ];
+        for f in &FLAGS {
+            for (bit, base) in bases.iter().filter(|(_, base)| !base.contains(&f.name)) {
+                let mut argv: Vec<&str> = base.to_vec();
+                argv.push(f.name);
+                argv.extend(sample(f));
+                match parse(&argv) {
+                    Ok(_) => assert!(f.modes & bit != 0, "{argv:?} accepted"),
+                    Err(e) => assert!(f.modes & bit == 0 && e.contains(f.name), "{argv:?}: {e}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn formerly_ignored_invocations_are_rejected_naming_the_flag() {
+        for (argv, flag) in [
+            (&["serve", "--out", "d"][..], "--out"),
+            (&["f", "--core", "ORCA", "--jobs", "8"], "--jobs"),
+            (&["f", "--core", "ORCA", "--emit", "sv", "--report"], "--report"),
+            (&["f", "--core", "ORCA", "--emit", "sv", "--out", "d"], "--out"),
+            (&["f", "--core", "ORCA", "--report", "--out", "d"], "--report"),
+            (&["f", "--core", "ORCA", "--emit", "hir", "--xcheck", "--trace"], "--xcheck"),
+            (&["f", "--core", "ORCA", "--emit", "datasheet", "--metrics-out", "m"], "--metrics-out"),
+            (&["f", "--core", "ORCA", "--core", "Piccolo"], "--core"),
+            (&["--matrix", "--matrix"], "--matrix"),
+        ] {
+            let e = parse(argv).unwrap_err();
+            assert!(e.contains(flag) && !e.contains('\n'), "{argv:?}: {e}");
+        }
+        // The compile-free emit kinds still combine with the flags that
+        // apply to them, and the compiling kinds keep every flag.
+        assert!(parse(&["f", "--core", "ORCA", "--emit", "hir", "--budget", "5"]).is_ok());
+        assert!(parse(&["f", "--core", "ORCA", "--emit", "sv", "--xcheck", "--trace"]).is_ok());
+    }
+
+    #[test]
+    fn help_is_a_request_not_an_error() {
+        for argv in [&["--help"][..], &["-h"], &["x", "--core", "ORCA", "-h"], &["serve", "--help"]] {
+            assert!(parse(argv).unwrap().help, "{argv:?}");
+        }
+        assert!(!parse(&["x", "--core", "ORCA"]).unwrap().help);
+        // Errors before the request still win.
+        assert!(parse(&["--frobnicate", "--help"]).is_err());
+    }
+
+    #[test]
+    fn usage_names_every_flag_and_matches_the_value_lists() {
+        let text = usage();
+        assert!(text.starts_with("usage: lnc <file.core_desc> --core <"));
+        for f in &FLAGS {
+            assert!(text.contains(f.name), "usage lacks {}", f.name);
+        }
+        assert!(text.lines().all(|l| l.len() <= 79), "{text}");
+        let metavar = |name: &str| FLAGS.iter().find(|f| f.name == name).unwrap().metavar;
+        assert_eq!(metavar("--core"), EVAL_CORES.join("|"));
+        assert_eq!(metavar("--emit"), EMIT_KINDS.join("|"));
     }
 }

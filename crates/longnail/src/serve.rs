@@ -22,15 +22,24 @@
 //!
 //! All jobs in one batch share a [`PipelineCache`], so ten jobs against
 //! the same ISAX frontend pay for it once, and with `--cache-dir` the
-//! whole-cell bundles persist across daemon restarts.
+//! whole-cell bundles persist across daemon restarts. [`run_cells`] is
+//! that persistent-layer batch path; `lnc --matrix` runs it once per
+//! matrix, serve once per optimization level.
 
 use crate::diag::Severity;
-use crate::driver::{builtin_datasheet, CompiledIsax, Longnail, MatrixCell};
+use crate::driver::{
+    builtin_datasheet, CompiledIsax, Longnail, MatrixCell, MatrixEntry, MatrixResult,
+};
 use crate::isax_lib;
 use crate::pipeline::{cell_key, CellBundle, PipelineCache};
 use qcache::DiskCache;
 use rtl::opt::OptLevel;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::io::Write;
+use telemetry::aggregate::{self, MatrixSummary, PoolWorkerSummary, StageCacheSummary};
+use telemetry::json::{parse_flat_object, write_str, Scalar};
+use telemetry::{metrics, Trace};
 
 /// Bundle pseudo-file carrying the rendered warning diagnostics of the
 /// compile that produced the bundle. Never written into the cell's
@@ -77,15 +86,19 @@ pub fn fault_bypassed(ln: &Longnail, cell: &MatrixCell) -> bool {
 /// `None` on absence, checksum/schema mismatch, or a malformed payload —
 /// all of which mean "recompute", never "fail".
 pub fn probe_cell(disk: &DiskCache, ln: &Longnail, cell: &MatrixCell) -> Option<CellBundle> {
-    let key = cell_key(
+    CellBundle::from_bytes(&disk.load("cell", &bundle_key(ln, cell))?)
+}
+
+/// The content key of a cell's bundle in the persistent layer.
+fn bundle_key(ln: &Longnail, cell: &MatrixCell) -> qcache::Digest {
+    cell_key(
         &cell.unit,
         &cell.src,
         &cell.datasheet,
         ln.chain_depth,
         ln.work_limit,
         &ln.config_fingerprint(),
-    );
-    CellBundle::from_bytes(&disk.load("cell", &key)?)
+    )
 }
 
 /// Persists a freshly compiled cell's bundle if — and only if — the
@@ -109,16 +122,222 @@ pub fn store_cell(
     ) {
         return Ok(false);
     }
-    let key = cell_key(
-        &cell.unit,
-        &cell.src,
-        &cell.datasheet,
-        ln.chain_depth,
-        ln.work_limit,
-        &ln.config_fingerprint(),
-    );
-    disk.store("cell", &key, &cell_bundle(compiled).to_bytes())?;
+    disk.store(
+        "cell",
+        &bundle_key(ln, cell),
+        &cell_bundle(compiled).to_bytes(),
+    )?;
     Ok(true)
+}
+
+/// One input cell of a [`CellBatch`].
+#[derive(Debug, Clone, Copy)]
+pub enum CellRun<'a> {
+    /// Served verbatim from the persistent layer.
+    Served(&'a CellBundle),
+    /// Compiled in this batch.
+    Compiled(&'a MatrixEntry),
+}
+
+impl<'a> CellRun<'a> {
+    /// The cell's trace: a served cell's stored stripped trace, re-parsed,
+    /// or a compiled cell's live one; `None` for a failed cell. Both
+    /// reduce to the same deterministic view, so warm summaries stay
+    /// byte-identical to cold ones.
+    fn trace(self) -> Option<Cow<'a, Trace>> {
+        match self {
+            CellRun::Served(bundle) => bundle
+                .file("trace.jsonl")
+                .and_then(|t| Trace::from_jsonl(t).ok())
+                .map(Cow::Owned),
+            CellRun::Compiled(entry) => {
+                entry.outcome.as_ref().ok().map(|c| Cow::Borrowed(&c.trace))
+            }
+        }
+    }
+}
+
+/// A batch of cells run through the persistent layer by [`run_cells`].
+/// Each `None` in `served` has, in order, its entry in `matrix`.
+#[derive(Debug)]
+pub struct CellBatch {
+    /// Per input cell: the bundle the persistent layer served, or `None`
+    /// when the cell was compiled.
+    served: Vec<Option<CellBundle>>,
+    matrix: MatrixResult,
+    probed: u64,
+    /// `{isax}_{core}` per input cell.
+    names: Vec<String>,
+}
+
+/// Runs `cells` through the persistent layer of `pipe`: probes the disk
+/// for every cell no fault targets, compiles the misses across `jobs`
+/// workers, and stores the clean fresh bundles. Without a disk layer
+/// every cell is compiled.
+pub fn run_cells(
+    ln: &Longnail,
+    cells: &[MatrixCell],
+    jobs: usize,
+    pipe: &PipelineCache,
+) -> CellBatch {
+    let disk = pipe.disk();
+    let mut probed = 0;
+    let served: Vec<Option<CellBundle>> = cells
+        .iter()
+        .map(|cell| {
+            let disk = disk.filter(|_| !fault_bypassed(ln, cell))?;
+            probed += 1;
+            probe_cell(disk, ln, cell)
+        })
+        .collect();
+    let misses: Vec<MatrixCell> = cells
+        .iter()
+        .zip(&served)
+        .filter(|(_, s)| s.is_none())
+        .map(|(c, _)| c.clone())
+        .collect();
+    let matrix = ln.compile_cells(&misses, jobs, pipe);
+    if let Some(disk) = disk {
+        for (cell, entry) in misses.iter().zip(&matrix.entries) {
+            match &entry.outcome {
+                Ok(compiled) if !fault_bypassed(ln, cell) => {
+                    if let Err(e) = store_cell(disk, ln, cell, compiled) {
+                        eprintln!("warning: cell cache store failed: {e}");
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    CellBatch {
+        served,
+        matrix,
+        probed,
+        names: cells
+            .iter()
+            .map(|c| format!("{}_{}", c.isax, c.datasheet.core))
+            .collect(),
+    }
+}
+
+impl CellBatch {
+    /// Every cell in input order, served or compiled.
+    pub fn runs(&self) -> impl Iterator<Item = CellRun<'_>> + '_ {
+        let mut compiled = self.matrix.entries.iter();
+        self.served.iter().map(move |s| match s {
+            Some(bundle) => CellRun::Served(bundle),
+            None => CellRun::Compiled(compiled.next().expect("every probe miss was compiled")),
+        })
+    }
+
+    /// The compile of the cells that were not served, in input order.
+    pub fn matrix(&self) -> &MatrixResult {
+        &self.matrix
+    }
+
+    /// Cells probed against the persistent layer.
+    pub fn probed(&self) -> u64 {
+        self.probed
+    }
+
+    /// Cells the persistent layer served.
+    pub fn served_count(&self) -> u64 {
+        self.served.iter().flatten().count() as u64
+    }
+
+    /// Each cell's name, trace, and whether it was served; failed cells
+    /// have no trace and are skipped.
+    fn cell_traces(&self) -> Vec<(String, Cow<'_, Trace>, bool)> {
+        self.names
+            .iter()
+            .zip(self.runs())
+            .filter_map(|(name, run)| {
+                Some((
+                    name.clone(),
+                    run.trace()?,
+                    matches!(run, CellRun::Served(_)),
+                ))
+            })
+            .collect()
+    }
+
+    /// The batch's [`MatrixSummary`]: the per-cell aggregation plus the
+    /// batch fields, one `stage_cache` row per stage and a `cell` row for
+    /// the persistent layer, and one pool row per worker.
+    pub fn summary(&self) -> MatrixSummary {
+        let traces = self.cell_traces();
+        let named: Vec<(String, &Trace)> =
+            traces.iter().map(|(n, t, _)| (n.clone(), &**t)).collect();
+        let m = &self.matrix;
+        let frontend = m.stage("frontend");
+        let mut summary = aggregate::summarize(&named);
+        // Batch-level fields come from the authoritative MatrixResult
+        // (failed cells have no trace for the aggregator to see).
+        summary.cells = self.served.len() as u64;
+        summary.jobs = m.jobs as u64;
+        summary.cache_hits = frontend.hits;
+        summary.cache_misses = frontend.misses;
+        summary.cell_faults = m.cell_faults;
+        summary.errors_recovered = m.errors_recovered;
+        summary.pool_wall_ns = m.pool_stats.wall_ns;
+        // Per-stage cache attribution: the compile run's hit/miss deltas,
+        // plus one credited hit per stage span a served bundle would have
+        // recomputed. The `cell` row counts probes of the persistent layer.
+        let row = |stage: &str, hits, misses, waits| StageCacheSummary {
+            stage: stage.to_string(),
+            hits,
+            misses,
+            waits,
+        };
+        for stage in telemetry::STAGES {
+            let d = m.stage(stage);
+            let served = traces.iter().filter(|(_, _, served)| *served);
+            let credit: usize = served.map(|(_, t, _)| t.span_count(stage)).sum();
+            let hits = d.hits + credit as u64;
+            summary
+                .stage_cache
+                .push(row(stage, hits, d.misses, d.waits));
+        }
+        let served = self.served_count();
+        summary
+            .stage_cache
+            .push(row("cell", served, self.probed - served, 0));
+        for (w, ws) in m.pool_stats.per_worker.iter().enumerate() {
+            summary.pool.push(PoolWorkerSummary {
+                jobs: ws.jobs,
+                busy_ns: ws.busy_ns,
+                utilization: m.pool_stats.utilization(w),
+            });
+        }
+        summary
+    }
+
+    /// The merged, unstripped matrix trace: every cell's spans under one
+    /// root `matrix` span, plus the batch's cache and pool metrics.
+    pub fn merged_trace(&self) -> Trace {
+        let traces = self.cell_traces();
+        let named: Vec<(String, &Trace)> =
+            traces.iter().map(|(n, t, _)| (n.clone(), &**t)).collect();
+        let frontend = self.matrix.stage("frontend");
+        let pool = &self.matrix.pool_stats;
+        let counters = [
+            (metrics::CACHE_FRONTEND_HIT, frontend.hits),
+            (metrics::CACHE_FRONTEND_MISS, frontend.misses),
+            (metrics::POOL_QUEUE_WAIT_NS, pool.queue_wait_total_ns()),
+            (metrics::POOL_RUN_NS, pool.run_total_ns()),
+            (metrics::POOL_WALL_NS, pool.wall_ns),
+        ]
+        .map(|(name, v)| (name.to_string(), v));
+        let gauges: Vec<(String, f64)> = (0..pool.per_worker.len())
+            .map(|w| {
+                (
+                    metrics::POOL_WORKER_UTILIZATION.to_string(),
+                    pool.utilization(w),
+                )
+            })
+            .collect();
+        aggregate::merge_traces(&named, &counters, &gauges, pool.wall_ns)
+    }
 }
 
 /// One parsed serve job: a builtin ISAX by display name, or inline
@@ -140,129 +359,51 @@ pub struct Job {
     pub opt_level: Option<u8>,
 }
 
-/// Parses one job line: a flat JSON object with string values. The
-/// hand-rolled parser accepts exactly the subset the protocol emits —
-/// string keys, string values, `\"` `\\` `\/` `\n` `\r` `\t` `\uXXXX`
-/// escapes — and rejects everything else with a message.
+/// The fields a job line may carry.
+const JOB_FIELDS: [&str; 6] = ["id", "isax", "unit", "core", "src", "opt_level"];
+
+/// Parses one job line: a flat JSON object with string values, read by
+/// the telemetry JSON codec. Anything else is rejected with a message.
 pub fn parse_job(line: &str) -> Result<Job, String> {
-    let fields = parse_flat_object(line)?;
-    let mut job = Job::default();
-    for (k, v) in fields {
-        match k.as_str() {
-            "id" => job.id = v,
-            "isax" => job.isax = Some(v),
-            "unit" => job.unit = Some(v),
-            "core" => job.core = v,
-            "src" => job.src = Some(v),
-            "opt_level" => match v.as_str() {
-                "0" | "1" | "2" => job.opt_level = Some(v.as_bytes()[0] - b'0'),
-                other => return Err(format!("opt_level `{other}` is not 0, 1, or 2")),
-            },
-            other => return Err(format!("unknown job field `{other}`")),
-        }
+    let fields =
+        parse_flat_object(line).map_err(|e| format!("job line is not a JSON object: {e}"))?;
+    // The codec returns a map; report the alphabetically first unknown
+    // field so the message does not depend on hash order.
+    if let Some(other) = fields
+        .keys()
+        .filter(|k| !JOB_FIELDS.contains(&k.as_str()))
+        .min()
+    {
+        return Err(format!("unknown job field `{other}`"));
     }
+    let field = |key: &str| match fields.get(key) {
+        None => Ok(None),
+        Some(Scalar::Str(v)) => Ok(Some(v.clone())),
+        Some(_) => Err(format!(
+            "field `{key}` must be a string (only string values are allowed)"
+        )),
+    };
+    let opt_level = match field("opt_level")?.as_deref() {
+        None => None,
+        Some(v @ ("0" | "1" | "2")) => Some(v.as_bytes()[0] - b'0'),
+        Some(other) => return Err(format!("opt_level `{other}` is not 0, 1, or 2")),
+    };
+    let job = Job {
+        id: field("id")?.unwrap_or_default(),
+        isax: field("isax")?,
+        unit: field("unit")?,
+        core: field("core")?.unwrap_or_default(),
+        src: field("src")?,
+        opt_level,
+    };
     if job.core.is_empty() {
         return Err("job is missing `core`".into());
     }
     match (&job.isax, &job.src, &job.unit) {
-        (Some(_), None, None) => Ok(job),
-        (None, Some(_), Some(_)) => Ok(job),
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) => {
-            Err("give either `isax` or `unit`+`src`, not both".into())
-        }
+        (Some(_), None, None) | (None, Some(_), Some(_)) => Ok(job),
+        (Some(_), _, _) => Err("give either `isax` or `unit`+`src`, not both".into()),
         _ => Err("job needs `isax` (builtin) or `unit`+`src` (inline source)".into()),
     }
-}
-
-/// Parses `{"k": "v", ...}` into key/value pairs.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let mut chars = line.chars().peekable();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while chars.next_if(|c| c.is_whitespace()).is_some() {}
-    };
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("job line is not a JSON object".into());
-    }
-    let mut fields = Vec::new();
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next() != Some(':') {
-                return Err(format!("expected `:` after key `{key}`"));
-            }
-            skip_ws(&mut chars);
-            let value = parse_string(&mut chars)?;
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                _ => return Err("expected `,` or `}` after a field".into()),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing bytes after the job object".into());
-    }
-    Ok(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected a string (only string values are allowed)".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let d = chars
-                            .next()
-                            .and_then(|c| c.to_digit(16))
-                            .ok_or("bad \\u escape")?;
-                        code = code * 16 + d;
-                    }
-                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                }
-                other => return Err(format!("unsupported escape `\\{}`", other.unwrap_or(' '))),
-            },
-            Some(c) => out.push(c),
-        }
-    }
-}
-
-/// Escapes a string for embedding in a JSON result line.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One job's outcome, in the lnc exit-code convention.
@@ -303,14 +444,41 @@ impl JobResult {
 
     /// The serialized result line (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"id\": \"{}\", \"status\": \"{}\", \"exit\": {}, \"units\": {}, \"message\": \"{}\"}}",
-            json_escape(&self.id),
-            self.status,
-            self.exit,
-            self.units,
-            json_escape(&self.message)
-        )
+        let mut out = String::from("{\"id\": ");
+        write_str(&mut out, &self.id);
+        out.push_str(&format!(
+            ", \"status\": \"{}\", \"exit\": {}, \"units\": {}, \"message\": ",
+            self.status, self.exit, self.units
+        ));
+        write_str(&mut out, &self.message);
+        out.push('}');
+        out
+    }
+
+    /// The result of one cell of a serve batch.
+    fn of_run(id: &str, run: CellRun) -> JobResult {
+        let entry = match run {
+            CellRun::Served(bundle) => return JobResult::ok(id, bundle_units(bundle)),
+            CellRun::Compiled(entry) => entry,
+        };
+        match &entry.outcome {
+            Ok(compiled) if !compiled.diagnostics.has_errors() => {
+                JobResult::ok(id, compiled.graphs.len())
+            }
+            Ok(compiled) => {
+                let first = compiled.diagnostics.of(Severity::Error).next();
+                JobResult::failed(
+                    id,
+                    "error",
+                    1,
+                    first.map(|d| d.to_string()).unwrap_or_default(),
+                )
+            }
+            Err(e) if e.severity == Severity::Fault => {
+                JobResult::failed(id, "fault", 2, format!("[{}] {}", e.stage, e.message))
+            }
+            Err(e) => JobResult::failed(id, "error", 1, format!("[{}] {}", e.stage, e.message)),
+        }
     }
 }
 
@@ -342,10 +510,9 @@ fn resolve(job: &Job) -> Result<MatrixCell, String> {
     })
 }
 
-/// Runs one serve batch: parses every input line, serves what the
-/// persistent layer already has, compiles the rest through the shared
-/// cache with per-cell isolation, stores fresh clean bundles, and writes
-/// one result line per job in input order.
+/// Runs one serve batch: parses every input line, runs the jobs of each
+/// optimization level through [`run_cells`] on the shared cache, and
+/// writes one result line per job in input order.
 ///
 /// # Errors
 ///
@@ -357,89 +524,50 @@ pub fn run_serve(
     input: &str,
     out: &mut dyn Write,
 ) -> std::io::Result<()> {
-    let lines: Vec<&str> = input
+    let base = ln.opt_level.level();
+    // Each line is a finished result (a bad job) or a cell at its level.
+    let parsed: Vec<Result<(u8, String, MatrixCell), JobResult>> = input
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())
+        .map(|line| {
+            let job = parse_job(line)
+                .map_err(|msg| JobResult::failed("", "error", 1, format!("bad job: {msg}")))?;
+            let cell = resolve(&job).map_err(|msg| JobResult::failed(&job.id, "error", 1, msg))?;
+            Ok((job.opt_level.unwrap_or(base), job.id, cell))
+        })
         .collect();
-    let base = ln.opt_level.level();
-    // Sibling compilers for jobs that override the daemon's `--opt-level`.
-    // Each level's cache keys embed its config fingerprint, so batches at
-    // different levels never cross-serve each other's artifacts.
-    let mut overrides: std::collections::BTreeMap<u8, Longnail> = std::collections::BTreeMap::new();
-    let mut results: Vec<Option<JobResult>> = vec![None; lines.len()];
-    let mut cells: Vec<MatrixCell> = Vec::new();
-    let mut slots: Vec<(usize, String)> = Vec::new();
-    let mut levels: Vec<u8> = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let job = match parse_job(line) {
-            Ok(j) => j,
-            Err(msg) => {
-                results[i] = Some(JobResult::failed("", "error", 1, format!("bad job: {msg}")));
-                continue;
-            }
+    let mut results: Vec<Option<JobResult>> =
+        parsed.iter().map(|p| p.as_ref().err().cloned()).collect();
+    let levels: BTreeSet<u8> = parsed
+        .iter()
+        .flatten()
+        .map(|(level, _, _)| *level)
+        .collect();
+    for level in levels {
+        // Jobs that override the daemon's `--opt-level` run on a sibling
+        // compiler. Each level's cache keys embed its config fingerprint,
+        // so batches at different levels never cross-serve artifacts.
+        let sibling;
+        let lnl = if level == base {
+            ln
+        } else {
+            sibling = ln.with_opt_level(
+                OptLevel::from_level(level).expect("parse_job validated the level"),
+            );
+            &sibling
         };
-        let cell = match resolve(&job) {
-            Ok(c) => c,
-            Err(msg) => {
-                results[i] = Some(JobResult::failed(&job.id, "error", 1, msg));
-                continue;
-            }
-        };
-        let level = job.opt_level.unwrap_or(base);
-        if level != base && !overrides.contains_key(&level) {
-            let opt = OptLevel::from_level(level).expect("parse_job validated the level");
-            overrides.insert(level, ln.with_opt_level(opt));
-        }
-        let lnl = if level == base { ln } else { &overrides[&level] };
-        if let Some(disk) = pipe.disk() {
-            if !fault_bypassed(lnl, &cell) {
-                if let Some(bundle) = probe_cell(disk, lnl, &cell) {
-                    results[i] = Some(JobResult::ok(&job.id, bundle_units(&bundle)));
-                    continue;
-                }
-            }
-        }
-        slots.push((i, job.id));
-        cells.push(cell);
-        levels.push(level);
-    }
-    let mut batch_levels: Vec<u8> = levels.clone();
-    batch_levels.sort_unstable();
-    batch_levels.dedup();
-    for lv in batch_levels {
-        let idxs: Vec<usize> = (0..cells.len()).filter(|i| levels[*i] == lv).collect();
-        let batch: Vec<MatrixCell> = idxs.iter().map(|i| cells[*i].clone()).collect();
-        let lnl = if lv == base { ln } else { &overrides[&lv] };
-        let matrix = lnl.compile_cells(&batch, jobs, pipe);
-        for (entry, i) in matrix.entries.iter().zip(&idxs) {
-            let (slot, id) = &slots[*i];
-            let cell = &cells[*i];
-            results[*slot] = Some(match &entry.outcome {
-                Ok(compiled) if !compiled.diagnostics.has_errors() => {
-                    if let Some(disk) = pipe.disk() {
-                        if !fault_bypassed(lnl, cell) {
-                            if let Err(e) = store_cell(disk, lnl, cell, compiled) {
-                                eprintln!("warning: cell cache store failed: {e}");
-                            }
-                        }
-                    }
-                    JobResult::ok(id, compiled.graphs.len())
-                }
-                Ok(compiled) => {
-                    let first = compiled
-                        .diagnostics
-                        .of(Severity::Error)
-                        .next()
-                        .map(|d| d.to_string())
-                        .unwrap_or_default();
-                    JobResult::failed(id, "error", 1, first)
-                }
-                Err(e) if e.severity == Severity::Fault => {
-                    JobResult::failed(id, "fault", 2, format!("[{}] {}", e.stage, e.message))
-                }
-                Err(e) => JobResult::failed(id, "error", 1, format!("[{}] {}", e.stage, e.message)),
-            });
+        let (slots, cells): (Vec<(usize, &str)>, Vec<MatrixCell>) = parsed
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| match p {
+                Ok((lv, id, cell)) if *lv == level => Some(((i, id.as_str()), cell.clone())),
+                _ => None,
+            })
+            .unzip();
+        let batch = run_cells(lnl, &cells, jobs, pipe);
+        for ((i, id), run) in slots.into_iter().zip(batch.runs()) {
+            results[i] = Some(JobResult::of_run(id, run));
         }
     }
     for r in results {

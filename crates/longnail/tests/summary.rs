@@ -1,14 +1,15 @@
-//! Matrix-summary integration tests: the aggregated [`MatrixSummary`]
-//! over real compile traces must respect the same determinism contract as
+//! Matrix-summary integration tests: the aggregated `MatrixSummary` over
+//! real compile traces, built by `CellBatch::summary` exactly as `lnc
+//! --matrix` builds it, must respect the same determinism contract as
 //! the traces themselves — the stripped projection (what lnc writes as
 //! `matrix_summary.json`) is byte-identical for every worker count, while
 //! the unstripped summary keeps the wall-clock and cache-attribution
 //! detail for humans.
 
 use longnail::driver::builtin_datasheet;
-use longnail::{isax_lib, Longnail, MatrixCell, MatrixResult, PipelineCache};
-use telemetry::aggregate::{summarize, MatrixSummary};
-use telemetry::{metrics, Trace};
+use longnail::serve::{run_cells, CellBatch};
+use longnail::{isax_lib, Longnail, MatrixCell, PipelineCache};
+use telemetry::metrics;
 
 /// Same representative slice as `tests/matrix.rs`.
 fn small_isaxes() -> Vec<(String, String, String)> {
@@ -18,48 +19,26 @@ fn small_isaxes() -> Vec<(String, String, String)> {
         .collect()
 }
 
-fn compile_small(jobs: usize) -> MatrixResult {
+fn compile_small(jobs: usize) -> CellBatch {
     let ln = Longnail::new();
     let cores: Vec<_> = ["ORCA", "Piccolo"]
         .iter()
         .map(|c| builtin_datasheet(c).unwrap())
         .collect();
-    ln.compile_cells(
+    run_cells(
+        &ln,
         &MatrixCell::grid(&small_isaxes(), &cores),
         jobs,
         &PipelineCache::new(),
     )
 }
 
-/// Mirrors how `lnc --matrix` builds the summary: per-cell traces named
-/// `{isax}_{core}`, then the matrix-level totals folded in.
-fn summarize_matrix(matrix: &MatrixResult) -> MatrixSummary {
-    let cells: Vec<(String, &Trace)> = matrix
-        .entries
-        .iter()
-        .filter_map(|e| {
-            e.outcome
-                .as_ref()
-                .ok()
-                .map(|c| (format!("{}_{}", e.isax, e.core), &c.trace))
-        })
-        .collect();
-    let mut summary = summarize(&cells);
-    summary.jobs = matrix.jobs as u64;
-    summary.cache_hits = matrix.stage("frontend").hits;
-    summary.cache_misses = matrix.stage("frontend").misses;
-    summary.cell_faults = matrix.cell_faults;
-    summary.errors_recovered = matrix.errors_recovered;
-    summary.pool_wall_ns = matrix.pool_stats.wall_ns;
-    summary
-}
-
 #[test]
 fn stripped_summary_json_is_identical_across_worker_counts() {
     let serial = compile_small(1);
     let parallel = compile_small(4);
-    let s1 = summarize_matrix(&serial);
-    let s4 = summarize_matrix(&parallel);
+    let s1 = serial.summary();
+    let s4 = parallel.summary();
     // Unstripped summaries legitimately differ (wall clock, pool layout),
     // but every deterministic total must already agree...
     assert_eq!(s1.cells, s4.cells);
@@ -73,8 +52,7 @@ fn stripped_summary_json_is_identical_across_worker_counts() {
 
 #[test]
 fn stripped_projection_drops_every_nondeterministic_field() {
-    let matrix = compile_small(2);
-    let summary = summarize_matrix(&matrix);
+    let summary = compile_small(2).summary();
     // Sanity on the live summary first: it found real timing data.
     assert_eq!(summary.cells, 6);
     assert!(summary.critical_path_ns > 0);
@@ -98,7 +76,8 @@ fn stripped_projection_drops_every_nondeterministic_field() {
 
 #[test]
 fn cache_attribution_lives_in_cells_but_not_in_stripped_traces() {
-    let matrix = compile_small(1);
+    let batch = compile_small(1);
+    let matrix = batch.matrix();
     let mut hits = 0u64;
     let mut misses = 0u64;
     for e in &matrix.entries {

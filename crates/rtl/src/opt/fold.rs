@@ -16,7 +16,8 @@
 //! value: on fully-known operands the interpreter and the four-state
 //! simulator compute the same function for every lint-clean operator.
 
-use super::{as_const, eval_const_comb, Replacements};
+use super::{as_const, Replacements};
+use crate::interp::eval_comb;
 use crate::netlist::{CombOp, Driver, Module, NetId};
 use bits::ApInt;
 
@@ -93,7 +94,7 @@ fn analyze_comb(m: &Module, op: CombOp, args: &[NetId], lo: u32, width: u32) -> 
     if !consts.is_empty() && consts.iter().all(Option::is_some) && width > 0 {
         let cargs: Vec<&ApInt> = consts.iter().map(|c| c.unwrap()).collect();
         if fold_is_safe(op, &cargs, lo, width) {
-            return const_of(width, eval_const_comb(op, &cargs, lo, width));
+            return const_of(width, eval_comb(op, |k| cargs[k], lo, width));
         }
     }
     let c = |k: usize| consts.get(k).copied().flatten();

@@ -3,7 +3,7 @@
 //!
 //! A small pass manager drives five rewrites over [`Module`] to a fixpoint:
 //!
-//! * [`fold`] — constant folding and propagation through every [`CombOp`],
+//! * [`fold`] — constant folding and propagation through every [`CombOp`](crate::netlist::CombOp),
 //!   plus algebraic identities (`x+0`, `x&x`, double negation, extend/trunc
 //!   chains, constant-index ROM reads),
 //! * [`cse`] — common-subexpression elimination over hash-consed
@@ -27,7 +27,7 @@
 //! the full matrix re-checks under `lnc --xcheck`.
 
 use crate::interp::Simulator;
-use crate::netlist::{CombOp, Driver, Module, NetId};
+use crate::netlist::{Driver, Module, NetId};
 use crate::verilog::EmitOptions;
 use crate::xsim::{XVal, Xsim};
 use bits::ApInt;
@@ -323,58 +323,6 @@ pub(crate) fn as_const(m: &Module, id: NetId) -> Option<&ApInt> {
     }
 }
 
-/// Evaluates one combinational operator on constant operands with the
-/// two-valued interpreter's semantics (the compiler's reference
-/// semantics; see `crate::interp`).
-pub(crate) fn eval_const_comb(op: CombOp, args: &[&ApInt], lo: u32, width: u32) -> ApInt {
-    let a = |k: usize| args[k];
-    match op {
-        CombOp::Add => a(0).add(a(1)),
-        CombOp::Sub => a(0).sub(a(1)),
-        CombOp::Mul => a(0).mul(a(1)),
-        CombOp::DivU => a(0).udiv(a(1)),
-        CombOp::DivS => a(0).sdiv(a(1)),
-        CombOp::RemU => a(0).urem(a(1)),
-        CombOp::RemS => a(0).srem(a(1)),
-        CombOp::And => a(0).and(a(1)),
-        CombOp::Or => a(0).or(a(1)),
-        CombOp::Xor => a(0).xor(a(1)),
-        CombOp::Not => a(0).not(),
-        CombOp::Shl => a(0).shl(a(1)),
-        CombOp::ShrU => a(0).lshr(a(1)),
-        CombOp::ShrS => a(0).ashr(a(1)),
-        CombOp::Eq => ApInt::from_bool(a(0) == a(1)),
-        CombOp::Ne => ApInt::from_bool(a(0) != a(1)),
-        CombOp::Ult => ApInt::from_bool(a(0).ult(a(1))),
-        CombOp::Ule => ApInt::from_bool(a(0).ule(a(1))),
-        CombOp::Slt => ApInt::from_bool(a(0).slt(a(1))),
-        CombOp::Sle => ApInt::from_bool(a(0).sle(a(1))),
-        CombOp::Mux => {
-            if a(0).is_zero() {
-                a(2).clone()
-            } else {
-                a(1).clone()
-            }
-        }
-        CombOp::Concat => a(0).concat(a(1)),
-        CombOp::Replicate => a(0).replicate(lo),
-        CombOp::Extract => {
-            let base = a(0);
-            let need = lo + width;
-            let padded = if base.width() < need {
-                base.zext(need)
-            } else {
-                base.clone()
-            };
-            padded.extract(lo, width)
-        }
-        CombOp::ExtractDyn => a(0).lshr(a(1)).zext_or_trunc(width),
-        CombOp::ZExt => a(0).zext(width),
-        CombOp::SExt => a(0).sext(width),
-        CombOp::Trunc => a(0).trunc(width),
-    }
-}
-
 /// Dead-net elimination: drops every net not reachable from an output,
 /// compacting ids (and ROM tables no surviving net reads). Returns the
 /// number of nets removed.
@@ -573,7 +521,7 @@ pub fn verify_equivalent(
 mod tests {
     use super::*;
     use crate::lint::lint_module;
-    use crate::netlist::PortDir;
+    use crate::netlist::{CombOp, PortDir};
 
     /// a, b 16-bit in; builds a little expression DAG with redundancy,
     /// constants, pow-2 multiplies, and a register.

@@ -108,7 +108,9 @@ fn fmt_f64(v: f64) -> String {
     format!("{v}")
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Writes `s` as a quoted JSON string: `"` `\\` `\n` `\r` `\t` get their
+/// short escapes, other control characters `\u00XX`.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -136,9 +138,12 @@ fn write_opt_str(out: &mut String, s: Option<&str>) {
 /// A parsed scalar JSON value. Numbers keep their source text so each
 /// field converts with its own type (u64 vs f64) without precision loss.
 #[derive(Debug, Clone, PartialEq)]
-enum Scalar {
+pub enum Scalar {
+    /// A string, escapes decoded.
     Str(String),
+    /// A number, as written.
     Num(String),
+    /// `null`.
     Null,
 }
 
@@ -244,7 +249,12 @@ fn get_f64(fields: &HashMap<String, Scalar>, key: &str) -> Result<f64, String> {
 }
 
 /// Parses a single-level JSON object with string / number / null values.
-fn parse_flat_object(text: &str) -> Result<HashMap<String, Scalar>, String> {
+/// A repeated key keeps its last value.
+///
+/// # Errors
+///
+/// Returns a description of the first syntax problem.
+pub fn parse_flat_object(text: &str) -> Result<HashMap<String, Scalar>, String> {
     let mut p = Parser {
         chars: text.char_indices().peekable(),
         text,
