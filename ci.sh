@@ -41,6 +41,10 @@ fi
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt -p telemetry -- --check"
     cargo fmt -p telemetry -- --check
+    echo "== cargo fmt -p pool -- --check"
+    cargo fmt -p pool -- --check
+    echo "== rustfmt --check on the stage driver and the pipeline plumbing"
+    rustfmt --check --edition 2021 crates/longnail/src/driver.rs crates/longnail/src/pipeline.rs
 else
     echo "== rustfmt not installed; skipping format step"
 fi

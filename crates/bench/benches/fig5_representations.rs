@@ -21,15 +21,14 @@ InstructionSet addi_demo extends RV32I {
 "#;
 
 fn main() {
-    let mut ln = Longnail::new();
+    let ln = Longnail::new();
     let ds = builtin_datasheet("VexRiscv").unwrap();
 
     println!("Figure 5(a): ISAX description (CoreDSL)");
     println!("----------------------------------------");
     println!("{}", ADDI.trim());
 
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(ADDI, "addi_demo")
         .map_err(|e| e.to_string())
         .unwrap();

@@ -40,12 +40,10 @@ pub fn compile_isaxes(core: &str, names: &[&str]) -> Vec<CompiledIsax> {
 ///
 /// Panics on any flow error.
 pub fn extended_core(core: &str, names: &[&str]) -> (ExtendedCore, Assembler) {
-    let mut ln = Longnail::new();
     let mut asm = Assembler::new();
     for name in names {
         let (unit, src) = isax_lib::isax_source(name).expect("known ISAX");
-        let module = ln
-            .frontend_mut()
+        let module = coredsl::Frontend::new()
             .compile_str(&src, &unit)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         isax_lib::register_mnemonics(&mut asm, &module).expect("mnemonics");

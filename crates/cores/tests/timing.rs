@@ -66,11 +66,10 @@ fn taken_branches_pay_the_flush_penalty() {
 }
 
 fn with_isax(core: &str, name: &str) -> (ExtendedCore, Assembler) {
-    let mut ln = Longnail::new();
+    let ln = Longnail::new();
     let ds = builtin_datasheet(core).unwrap();
     let (unit, src) = isax_lib::isax_source(name).unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();

@@ -16,15 +16,14 @@ fn setup(
     isax_names: &[&str],
     program: &str,
 ) -> (ExtendedCore, GoldenMachine, Vec<u32>) {
-    let mut ln = Longnail::new();
+    let ln = Longnail::new();
     let ds = builtin_datasheet(core).unwrap();
     let mut compiled = Vec::new();
     let mut modules = Vec::new();
     let mut asm = Assembler::new();
     for name in isax_names {
         let (unit, src) = isax_lib::isax_source(name).unwrap();
-        let module = ln
-            .frontend_mut()
+        let module = coredsl::Frontend::new()
             .compile_str(&src, &unit)
             .map_err(|e| e.to_string())
             .unwrap();
@@ -291,11 +290,10 @@ fn zero_overhead_loop_really_is_zero_overhead() {
 fn hazard_free_ablation_returns_stale_values() {
     // Without hazard handling (Table 4 ablation row), a dependent read
     // right after a decoupled sqrt sees the stale register value.
-    let mut ln = Longnail::new();
+    let ln = Longnail::new();
     let ds = builtin_datasheet("VexRiscv").unwrap();
     let (unit, src) = isax_lib::isax_source("sqrt_decoupled").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();

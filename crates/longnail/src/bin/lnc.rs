@@ -401,7 +401,7 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
     if args.matrix {
         return run_matrix(&ln, args);
     }
-    run_single(&mut ln, args)
+    run_single(&ln, args)
 }
 
 /// Builds the run's pipeline cache: in-memory only, or backed by the
@@ -499,7 +499,7 @@ fn run_matrix(ln: &Longnail, args: &Args) -> Result<ExitCode, ExitCode> {
     if args.xcheck {
         // Fan the per-cell differential checks across the same worker
         // count as the compile; results come back in input order.
-        let reports = pool::run_indexed(matrix.entries.len(), args.jobs, |i| {
+        let reports = pool::Pool::new(args.jobs).run(matrix.entries.len(), |i| {
             matrix.entries[i]
                 .outcome
                 .as_ref()
@@ -596,7 +596,7 @@ fn run_matrix(ln: &Longnail, args: &Args) -> Result<ExitCode, ExitCode> {
 }
 
 /// Compiles one CoreDSL file for one core.
-fn run_single(ln: &mut Longnail, args: &Args) -> Result<ExitCode, ExitCode> {
+fn run_single(ln: &Longnail, args: &Args) -> Result<ExitCode, ExitCode> {
     let core = args.core.as_deref().expect("validated in parse_args");
     let input = args.input.as_deref().expect("validated in parse_args");
     let datasheet = builtin_datasheet(core).ok_or_else(|| {
@@ -616,7 +616,7 @@ fn run_single(ln: &mut Longnail, args: &Args) -> Result<ExitCode, ExitCode> {
     match args.emit.as_deref() {
         // --emit hir needs the typed module before HLS.
         Some("hir") => {
-            let module = ln.frontend_mut().compile_str(&src, &unit).map_err(fail)?;
+            let module = coredsl::Frontend::new().compile_str(&src, &unit).map_err(fail)?;
             print!("{}", ir::hirprint::print_module(&module));
             return Ok(ExitCode::SUCCESS);
         }

@@ -153,17 +153,6 @@ impl Diagnostics {
         self.push(Severity::Fault, stage, unit, span, message);
     }
 
-    /// Re-records previously captured events — e.g. the core-independent
-    /// lowering diagnostics the pipeline's `frontend` stage caches —
-    /// re-stamping each with the currently active trace span so replayed
-    /// events link into *this* compilation's trace, not the one they were
-    /// first raised in.
-    pub fn replay(&mut self, events: &[DiagEvent]) {
-        for e in events {
-            self.push_event(e.clone());
-        }
-    }
-
     /// Worst severity recorded, if any event exists.
     pub fn worst(&self) -> Option<Severity> {
         self.events.iter().map(|e| e.severity).max()

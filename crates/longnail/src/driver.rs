@@ -6,7 +6,7 @@
 //! (§4.3) → hardware construction and SystemVerilog emission (§4.5) →
 //! SCAIE-V configuration file (§4.6).
 
-use crate::diag::{DiagEvent, Diagnostics, Severity};
+use crate::diag::{Diagnostics, Severity};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::pipeline::{self, PipelineCache, StageCacheStats, StageVal, Tape};
 use coredsl::error::{codes, Diagnostic, Span};
@@ -16,6 +16,7 @@ use eda::TechLibrary;
 use ir::lil::{Graph, GraphKind, LilModule, OpKind};
 use ir::{lower_always, lower_instruction, lower_state, verify_graph};
 use pool::Pool;
+use qcache::Digest;
 use rtl::build::{build_graph_module, BuiltModule};
 use rtl::lint::{comb_depth, lint_module};
 use rtl::opt::{optimize, verify_equivalent, OptLevel};
@@ -24,7 +25,6 @@ use scaiev::config::{Functionality, IsaxConfig, RegisterRequest, ScheduleEntry};
 use scaiev::datasheet::{Timing, VirtualDatasheet};
 use scaiev::iface::SubInterfaceOp;
 use scaiev::modes::{select_mode, ExecutionMode};
-use qcache::Digest;
 use sched::problem::{LongnailProblem, OperationId, OperatorType, OperatorTypeId, Schedule};
 use sched::resilient::DegradationReason;
 use sched::{schedule_resilient, Budget, WorkKind};
@@ -212,8 +212,8 @@ impl CompiledIsax {
 }
 
 /// The Longnail compiler.
+#[derive(Clone)]
 pub struct Longnail {
-    frontend: Frontend,
     /// Chaining budget in uniform-delay units per stage.
     pub chain_depth: f64,
     /// Deterministic solver work budget granted to each graph's scheduling
@@ -238,11 +238,11 @@ impl Default for Longnail {
 }
 
 impl Longnail {
-    /// Creates a compiler with the built-in prelude and default chaining
-    /// budget.
+    /// Creates a compiler with the default chaining budget. Every frontend
+    /// run starts from the built-in prelude alone, so the frontend key
+    /// (unit and source text) names everything a frontend result depends on.
     pub fn new() -> Self {
         Longnail {
-            frontend: Frontend::new(),
             chain_depth: DEFAULT_CHAIN_DEPTH,
             work_limit: Budget::DEFAULT_LIMIT,
             fault_plan: None,
@@ -268,35 +268,13 @@ impl Longnail {
     }
 
     /// A sibling compiler configured like `self` but at `level` — used by
-    /// serve mode for per-job `opt_level` overrides. The frontend is a
-    /// fresh instance (its prelude state is per-compiler); everything
-    /// else carries over, so the two compilers differ only in their
-    /// config fingerprints.
+    /// serve mode for per-job `opt_level` overrides. The two compilers
+    /// differ only in their config fingerprints.
     pub fn with_opt_level(&self, level: OptLevel) -> Longnail {
         Longnail {
-            frontend: Frontend::new(),
-            chain_depth: self.chain_depth,
-            work_limit: self.work_limit,
-            fault_plan: self.fault_plan.clone(),
             opt_level: level,
+            ..self.clone()
         }
-    }
-
-    /// Crosses a stage boundary: records the stage for panic attribution
-    /// and fires a planned [`FaultKind::Panic`] when this `(unit, core)`
-    /// cell is targeted at this stage.
-    fn stage_boundary(&self, unit: &str, core: &str, stage: &'static str) {
-        set_stage(stage);
-        if let Some(plan) = &self.fault_plan {
-            if plan.panic_at(unit, core, stage) {
-                panic!("injected fault: panic at stage `{stage}` of `{unit}` for `{core}`");
-            }
-        }
-    }
-
-    /// Access to the CoreDSL frontend (e.g. to register import sources).
-    pub fn frontend_mut(&mut self) -> &mut Frontend {
-        &mut self.frontend
     }
 
     /// Compiles CoreDSL source text for the given target core: a
@@ -315,11 +293,13 @@ impl Longnail {
     }
 
     /// Compiles one ISAX for one core through the full incremental
-    /// pipeline — the one path every compile takes. Every stage is looked
-    /// up in (and populates) `pipe`'s content-keyed stage store, so
-    /// recompiling an unchanged cell is pure cache replay and editing a
-    /// source recomputes only its downstream cone. The emitted trace is
-    /// byte-identical (after [`Trace::stripped`]) warm or cold.
+    /// pipeline — the one path every compile takes. Every stage, frontend
+    /// and lowering included, runs through one stage runner inside the
+    /// cell's root `compile` span: it is looked up in (and populates)
+    /// `pipe`'s content-keyed stage store, so recompiling an unchanged cell
+    /// is pure cache replay and editing a source recomputes only its
+    /// downstream cone. The emitted trace is byte-identical (after
+    /// [`Trace::stripped`]) warm or cold.
     ///
     /// Units are compiled independently: a unit that fails in lowering,
     /// verification, scheduling, or netlist construction is dropped and
@@ -347,24 +327,30 @@ impl Longnail {
         datasheet: &VirtualDatasheet,
         pipe: &PipelineCache,
     ) -> Result<CompiledIsax, FlowError> {
-        let fe_key = pipeline::frontend_key(unit, src);
+        let mut cx = CellCtx::open(self, pipe, unit, src, datasheet);
         if let Some(plan) = &self.fault_plan {
-            if plan.fault(unit, &datasheet.core, FaultKind::PoisonCache).is_some() {
+            if plan
+                .fault(unit, &datasheet.core, FaultKind::PoisonCache)
+                .is_some()
+            {
                 // Genuinely poison the slot mutex — exactly the state a
                 // worker that crashed mid-compute leaves behind — then
                 // fail this cell. Peers sharing the entry must recover
                 // through the store's poison-tolerant locking.
                 set_stage("frontend");
-                pipe.store().poison("frontend", fe_key);
+                pipe.store().poison("frontend", cx.fe_key);
                 return Err(FlowError::fault(
                     "frontend",
                     format!("injected fault: frontend cache entry for `{unit}` poisoned"),
                 ));
             }
-            if plan.fault(unit, &datasheet.core, FaultKind::ParseError).is_some() {
+            if plan
+                .fault(unit, &datasheet.core, FaultKind::ParseError)
+                .is_some()
+            {
                 // Fails before the lookup: the injected failure stays in
                 // this cell, never cached for the (healthy) source.
-                self.stage_boundary(unit, &datasheet.core, "frontend");
+                cx.boundary("frontend");
                 return Err(FlowError::frontend(vec![Diagnostic::coded(
                     codes::PARSE_EXPECTED,
                     Span::new(1, 1),
@@ -373,186 +359,61 @@ impl Longnail {
                 .in_source(unit)]));
             }
         }
-        let (result, lookup) = pipe.store().get_or_compute_sized(
+        // The typed module and the lowered LIL each scale with the source.
+        let src_bytes = src.len() as u64 * 4;
+        let module = cx.run(
             "frontend",
-            fe_key,
-            || self.frontend_artifacts(src, unit).map(Arc::new),
-            // Typed module + lowered LIL scale with the source text.
-            |_| 1024 + (src.len() as u64) * 8,
-        );
-        // The lowered LIL rides inside the frontend artifact; mirror the
-        // lookup so `cache.lower.*` stats stay observable per stage.
-        pipe.store().record("lower", lookup);
-        let artifacts = result?;
-        let ctx = PipeCtx {
-            pipe,
-            fe_key,
-            cfg_key: pipeline::core_config_key(
-                datasheet,
-                self.chain_depth,
-                self.work_limit,
-                &self.config_fingerprint(),
-            ),
-        };
-        Ok(self.compile_backend(&artifacts, datasheet, lookup, &ctx))
-    }
-
-    /// Runs the core-independent half of the flow: parse, elaborate,
-    /// type-check, and lower to verified LIL. Per-unit lowering problems
-    /// are captured inside the artifacts and replayed into each
-    /// compilation's diagnostics.
-    fn frontend_artifacts(&self, src: &str, unit: &str) -> Result<FrontendArtifacts, FlowError> {
-        set_stage("frontend");
-        let out = self.frontend.compile_str_all(src, unit);
-        if !out.errors.is_empty() {
-            return Err(FlowError::frontend(out.errors));
-        }
-        let module = out
-            .module
-            .ok_or_else(|| FlowError::error("frontend", "elaboration produced no module"))?;
-        set_stage("lower");
-        Ok(lower_artifacts(module))
-    }
-
-    /// The core-aware backend: schedules, builds, and emits every verified
-    /// LIL graph in `artifacts` against `datasheet`, replaying the cached
-    /// frontend/lower telemetry so the trace is indistinguishable from a
-    /// monolithic run. The cell's root span carries what the frontend
-    /// `lookup` observed as `cache.frontend.*` counters; which cell wins
-    /// the miss is a race under concurrency, so [`Trace::stripped`] drops
-    /// them.
-    fn compile_backend(
-        &self,
-        artifacts: &FrontendArtifacts,
-        datasheet: &VirtualDatasheet,
-        lookup: qcache::Lookup,
-        ctx: &PipeCtx<'_>,
-    ) -> CompiledIsax {
-        let module = &artifacts.module;
-        let lil = &artifacts.lil;
-        let mut tel = Telemetry::new();
-        let root = tel.start_span("compile");
-        tel.attr(root, "core", &datasheet.core);
-        tel.counter(root, metrics::CACHE_FRONTEND_HIT, u64::from(lookup.hit));
-        tel.counter(root, metrics::CACHE_FRONTEND_MISS, u64::from(!lookup.hit));
-        if lookup.waited {
-            tel.counter(root, metrics::CACHE_FRONTEND_WAIT, 1);
-            tel.counter(root, metrics::CACHE_FRONTEND_WAIT_NS, lookup.wait_ns);
-        }
-        let stats = module.stats();
-        self.stage_boundary(&module.name, &datasheet.core, "frontend");
-        let fe = tel.start_span("frontend");
-        tel.counter(fe, metrics::FRONTEND_INSTRUCTIONS, stats.instructions as u64);
-        tel.counter(fe, metrics::FRONTEND_ALWAYS, stats.always_blocks as u64);
-        tel.counter(fe, metrics::FRONTEND_FUNCTIONS, stats.functions as u64);
-        tel.end_span(fe);
-        tel.attr(root, "isax", &module.name);
-        let mut diagnostics = Diagnostics::default();
-        self.stage_boundary(&module.name, &datasheet.core, "lower");
-        let lower_span = tel.start_span("lower");
-        diagnostics.set_trace_span(Some(lower_span.0));
-        diagnostics.replay(&artifacts.lower_events);
-        tel.counter(lower_span, "lower.graphs", lil.graphs.len() as u64);
-        tel.end_span(lower_span);
-        let spans: HashMap<String, Span> = module
-            .instructions
-            .iter()
-            .map(|i| (i.name.clone(), i.span))
-            .chain(module.always_blocks.iter().map(|a| (a.name.clone(), a.span)))
-            .collect();
+            cx.fe_key,
+            |tape| frontend_stage(tape, src, unit),
+            |_| src_bytes,
+        )?;
+        cx.isax = module.name.clone();
+        cx.tel.attr(cx.root, "isax", &module.name);
+        let lil = cx.run(
+            "lower",
+            pipeline::derive("lower", &[&cx.fe_key]),
+            |tape| lower_stage(tape, &module),
+            |_| src_bytes,
+        )?;
         let mut graphs = Vec::new();
         // Scope keys of the graphs that compiled: the config is built from
         // exactly these, so they belong in its key.
         let mut compiled_scopes = Vec::new();
         for (gi, graph) in lil.graphs.iter().enumerate() {
-            let unit_span = tel.start_unit_span("unit", Some(&graph.name));
-            diagnostics.set_trace_span(Some(unit_span.0));
+            let unit_span = cx.tel.start_unit_span("unit", Some(&graph.name));
+            cx.unit = Some((unit_span, graph.name.clone()));
+            let scope = pipeline::graph_scope_key(&cx.fe_key, gi, &graph.name);
             // Cell-level fault injection fires once per compilation, on
             // the first unit, so a faulted cell degrades to exactly one
             // diagnostic.
-            let inject = gi == 0;
-            let scope = pipeline::graph_scope_key(&ctx.fe_key, gi, &graph.name);
-            match self.compile_graph(
-                graph,
-                scope,
-                lil,
-                datasheet,
-                &mut diagnostics,
-                &mut tel,
-                unit_span,
-                inject,
-                ctx,
-            ) {
+            match cx.compile_graph(graph, &lil, scope, gi == 0) {
                 Ok(cg) => {
                     graphs.push(cg);
                     compiled_scopes.push(scope);
                 }
                 Err(e) => {
-                    let span = spans.get(&graph.name).copied();
-                    // The netlist lint guards compiler-constructed hardware;
-                    // its findings are internal faults, not user errors.
-                    if e.severity == Severity::Fault || e.stage == "netlist" {
-                        diagnostics.fault(e.stage, Some(&graph.name), span, e.message);
-                    } else {
-                        diagnostics.error(e.stage, Some(&graph.name), span, e.message);
-                    }
+                    let span = source_span(&module, &graph.name);
+                    cx.diagnostics
+                        .push(e.severity, e.stage, Some(&graph.name), span, e.message);
                 }
             }
-            // Also closes any stage span an error path left open.
-            tel.end_span(unit_span);
+            cx.tel.end_span(unit_span);
         }
-        diagnostics.set_trace_span(None);
-        self.stage_boundary(&module.name, &datasheet.core, "config");
-        let config_span = tel.start_span("config");
+        cx.unit = None;
         let config_key = {
-            let mut parts = vec![&ctx.fe_key, &ctx.cfg_key];
+            let mut parts = vec![&cx.fe_key, &cx.cfg_key];
             parts.extend(&compiled_scopes);
             pipeline::derive("config", &parts)
         };
-        let cval = run_stage(
-            ctx,
-            "config",
-            config_key,
-            || config_stage(lil, &graphs),
-            |c| (c.functionalities.len() as u64 + 1) * 256,
-        );
-        cval.tape
-            .replay(&mut tel, config_span, config_span, &mut diagnostics, &lil.name);
-        let config = cval
-            .outcome
-            .as_ref()
-            .expect("config stage is infallible")
-            .clone();
-        tel.end_span(config_span);
-        // Errors that were contained to their unit instead of aborting
-        // the compilation. Omitted (not zero) on clean runs so a clean
-        // trace stays byte-identical to pre-degradation baselines.
-        let recovered = diagnostics.of(Severity::Error).count() as u64;
-        if recovered > 0 {
-            tel.counter(root, metrics::DEGRADE_ERRORS_RECOVERED, recovered);
-        }
-        tel.end_span(root);
-        // Mirror the diagnostics into the trace, each linked to the span
-        // that was open when it fired.
-        for e in &diagnostics.events {
-            tel.diag(
-                e.trace_span.map(SpanId),
-                &e.severity.to_string(),
-                e.stage,
-                e.unit.as_deref(),
-                &e.message,
-            );
-        }
-        CompiledIsax {
-            name: lil.name.clone(),
-            core: datasheet.core.clone(),
-            module: module.clone(),
-            lil: lil.clone(),
-            graphs,
-            config,
-            diagnostics,
-            trace: tel.finish(),
-        }
+        let config = cx
+            .run(
+                "config",
+                config_key,
+                |tape| config_stage(tape, &lil, &graphs),
+                |c| (c.functionalities.len() as u64 + 1) * 256,
+            )
+            .expect("config stage is infallible");
+        Ok(cx.finish(&module, &lil, graphs, &config))
     }
 
     /// Compiles a list of cells — a full matrix ([`MatrixCell::grid`]) or
@@ -573,17 +434,14 @@ impl Longnail {
         jobs: usize,
         pipe: &PipelineCache,
     ) -> MatrixResult {
-        let before: HashMap<String, qcache::StageStats> = pipe
-            .stage_stats()
-            .into_iter()
-            .collect();
+        let before: HashMap<String, qcache::StageStats> = pipe.stage_stats().into_iter().collect();
         let pool = Pool::new(jobs);
-        let (outcomes, pool_stats) = pool.run_isolated_with_stats(cells.len(), |k| {
+        let (outcomes, pool_stats) = pool.run_with_stats(cells.len(), |k| {
             let cell = &cells[k];
-            // First containment layer: a panic anywhere in this cell's
-            // flow becomes a Fault-severity outcome attributed to the
-            // stage boundary the thread last crossed, and every other
-            // cell completes exactly as in a clean run.
+            // A panic anywhere in this cell's flow becomes a
+            // Fault-severity outcome attributed to the stage boundary the
+            // thread last crossed, and every other cell completes exactly
+            // as in a clean run.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.compile_cell(&cell.src, &cell.unit, &cell.datasheet, pipe)
             }))
@@ -601,14 +459,7 @@ impl Longnail {
                 isax: cell.isax.clone(),
                 unit: cell.unit.clone(),
                 core: cell.datasheet.core.clone(),
-                // Second containment layer: the pool's own isolation
-                // catches anything that escaped the handler above.
-                outcome: outcome.unwrap_or_else(|p| {
-                    Err(FlowError::fault(
-                        "matrix",
-                        format!("compiler panicked: {}", p.message),
-                    ))
-                }),
+                outcome,
             })
             .collect();
         let cell_faults = entries
@@ -649,177 +500,14 @@ impl Longnail {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn compile_graph(
-        &self,
-        graph: &Graph,
-        scope: Digest,
-        lil: &LilModule,
-        datasheet: &VirtualDatasheet,
-        diagnostics: &mut Diagnostics,
-        tel: &mut Telemetry,
-        unit_span: SpanId,
-        inject: bool,
-        ctx: &PipeCtx<'_>,
-    ) -> Result<CompiledGraph, FlowError> {
-        let is_always = graph.kind == GraphKind::Always;
-        // Stage keys chain Merkle-style from this graph's scope key: an
-        // upstream edit flips every key downstream of it and no other.
-        let problem_key = pipeline::derive("problem", &[&scope, &ctx.cfg_key]);
-        let solve_key = pipeline::derive("solve", &[&problem_key]);
-        let modes_key = pipeline::derive("modes", &[&solve_key]);
-        let rtl_key = pipeline::derive("rtl", &[&solve_key]);
-        let opt_key = pipeline::derive("opt", &[&rtl_key]);
-        // The Verilog chains from whichever module actually feeds it:
-        // the optimized one above -O0, the raw build otherwise.
-        let verilog_key = if self.opt_level == OptLevel::O0 {
-            pipeline::derive("verilog", &[&rtl_key])
-        } else {
-            pipeline::derive("verilog", &[&opt_key])
-        };
-
-        // --- LongnailProblem construction ---
-        self.stage_boundary(&lil.name, &datasheet.core, "problem");
-        let problem_span = tel.start_span("problem");
-        let pval = run_stage(
-            ctx,
-            "problem",
-            problem_key,
-            || self.problem_stage(graph, is_always, datasheet),
-            |p| (p.op_ids.len() as u64 + 1) * 192,
-        );
-        pval.tape
-            .replay(tel, problem_span, unit_span, diagnostics, &graph.name);
-        let pout = pval.outcome.as_ref().map_err(Clone::clone)?;
-        tel.end_span(problem_span);
-
-        // --- ILP solve (resilient facade) ---
-        self.stage_boundary(&lil.name, &datasheet.core, "solve");
-        if inject {
-            if let Some(plan) = &self.fault_plan {
-                if plan
-                    .fault(&lil.name, &datasheet.core, FaultKind::BudgetExhaustion)
-                    .is_some()
-                {
-                    return Err(FlowError::error(
-                        "solve",
-                        "injected fault: solver work budget exhausted before a schedule \
-                         was found",
-                    ));
-                }
-            }
-        }
-        let solve_span = tel.start_span("solve");
-        let sval = run_stage(
-            ctx,
-            "solve",
-            solve_key,
-            || self.solve_stage(pout, graph),
-            |s| (s.schedule.start_time.len() as u64 + 1) * 16,
-        );
-        sval.tape
-            .replay(tel, solve_span, unit_span, diagnostics, &graph.name);
-        let sout = sval.outcome.as_ref().map_err(Clone::clone)?;
-        tel.end_span(solve_span);
-
-        // --- Per-write-interface mode selection (§4.3) and overall mode ---
-        self.stage_boundary(&lil.name, &datasheet.core, "modes");
-        let modes_span = tel.start_span("modes");
-        let mval = run_stage(
-            ctx,
-            "modes",
-            modes_key,
-            || modes_stage(graph, is_always, datasheet, sout),
-            |_| 64,
-        );
-        mval.tape
-            .replay(tel, modes_span, unit_span, diagnostics, &graph.name);
-        let mout = mval.outcome.as_ref().map_err(Clone::clone)?;
-        tel.end_span(modes_span);
-
-        // --- Hardware construction and lint ---
-        self.stage_boundary(&lil.name, &datasheet.core, "rtl");
-        let rtl_span = tel.start_span("rtl");
-        let rval = run_stage(
-            ctx,
-            "rtl",
-            rtl_key,
-            || rtl_stage(graph, lil, datasheet, sout),
-            |b| (b.module.nets.len() as u64 + 1) * 160,
-        );
-        rval.tape
-            .replay(tel, rtl_span, unit_span, diagnostics, &graph.name);
-        let built = rval.outcome.as_ref().map_err(Clone::clone)?;
-        tel.end_span(rtl_span);
-
-        // --- Oracle-gated netlist optimization (skipped entirely at -O0,
-        // so the default flow — spans, traces, artifacts — is untouched).
-        // The stage *boundary* is crossed regardless: it only updates the
-        // panic-attribution stage and fires planned faults, so chaos plans
-        // targeting `opt` behave identically at every level. ---
-        self.stage_boundary(&lil.name, &datasheet.core, "opt");
-        let oval;
-        let built = if self.opt_level == OptLevel::O0 {
-            built
-        } else {
-            let opt_span = tel.start_span("opt");
-            oval = run_stage(
-                ctx,
-                "opt",
-                opt_key,
-                || opt_stage(built, self.opt_level),
-                |b| (b.module.nets.len() as u64 + 1) * 160,
-            );
-            oval.tape
-                .replay(tel, opt_span, unit_span, diagnostics, &graph.name);
-            let optimized = oval.outcome.as_ref().map_err(Clone::clone)?;
-            tel.end_span(opt_span);
-            optimized
-        };
-
-        // --- SystemVerilog emission ---
-        self.stage_boundary(&lil.name, &datasheet.core, "verilog");
-        let verilog_span = tel.start_span("verilog");
-        let vval = run_stage(
-            ctx,
-            "verilog",
-            verilog_key,
-            || verilog_stage(built),
-            |v| v.len() as u64,
-        );
-        vval.tape
-            .replay(tel, verilog_span, unit_span, diagnostics, &graph.name);
-        let verilog = vval.outcome.as_ref().map_err(Clone::clone)?;
-        tel.end_span(verilog_span);
-
-        let (mask, match_value) = match graph.kind {
-            GraphKind::Instruction { mask, match_value } => (mask, match_value),
-            GraphKind::Always => (0, 0),
-        };
-        Ok(CompiledGraph {
-            name: graph.name.clone(),
-            is_always,
-            mask,
-            match_value,
-            graph: graph.clone(),
-            schedule: sout.schedule.clone(),
-            max_stage: built.max_stage,
-            built: built.clone(),
-            verilog: verilog.clone(),
-            mode: mout.mode,
-            result_stage: mout.result_stage,
-            spawn_stage: mout.spawn_stage,
-        })
-    }
-
     /// Stage `problem`: builds the [`LongnailProblem`] for one graph.
     fn problem_stage(
         &self,
+        tape: &mut Tape,
         graph: &Graph,
         is_always: bool,
         datasheet: &VirtualDatasheet,
-    ) -> StageVal<ProblemOut> {
-        let mut tape = Tape::default();
+    ) -> Result<ProblemOut, FlowError> {
         let chain_limit = if datasheet.clock_ns > 0.0 {
             (datasheet.clock_ns / UNIT_NS).max(2.0)
         } else {
@@ -837,11 +525,8 @@ impl Longnail {
             let tid = match type_cache.get(&cache_key) {
                 Some(&t) => t,
                 None => {
-                    let ot = match self.operator_type(&op.kind, is_always, datasheet) {
-                        Ok(ot) => ot,
-                        Err(e) => return StageVal { outcome: Err(e), tape },
-                    };
-                    let t = problem.add_operator_type(ot);
+                    let t =
+                        problem.add_operator_type(operator_type(&op.kind, is_always, datasheet)?);
                     type_cache.insert(cache_key, t);
                     t
                 }
@@ -854,19 +539,23 @@ impl Longnail {
             }
         }
         tape.counter(metrics::PROBLEM_OPS, graph.len() as u64);
-        tape.counter(metrics::PROBLEM_IFACE_OPS, graph.interface_op_count() as u64);
+        tape.counter(
+            metrics::PROBLEM_IFACE_OPS,
+            graph.interface_op_count() as u64,
+        );
         tape.counter(metrics::PROBLEM_DEPS, graph.edge_count() as u64);
         tape.gauge(metrics::SCHED_CHAIN_LIMIT, chain_limit);
-        StageVal {
-            outcome: Ok(ProblemOut { problem, op_ids }),
-            tape,
-        }
+        Ok(ProblemOut { problem, op_ids })
     }
 
     /// Stage `solve`: runs the resilient scheduler and remaps the result
     /// to graph-indexed start times.
-    fn solve_stage(&self, pout: &ProblemOut, graph: &Graph) -> StageVal<SolveOut> {
-        let mut tape = Tape::default();
+    fn solve_stage(
+        &self,
+        tape: &mut Tape,
+        pout: &ProblemOut,
+        graph: &Graph,
+    ) -> Result<SolveOut, FlowError> {
         let budget = Budget::new(self.work_limit);
         // Scheduling appends chain breakers to the problem; the cached
         // ProblemOut must stay pristine for replay.
@@ -878,21 +567,13 @@ impl Longnail {
         tape.counter(metrics::SOLVER_ROUNDS, budget.count(WorkKind::Round));
         tape.counter(metrics::SOLVER_WORK_USED, budget.used());
         tape.counter(metrics::SOLVER_WORK_LIMIT, budget.limit());
-        let outcome = match result {
-            Ok(o) => o,
-            Err(e) => {
-                return StageVal {
-                    outcome: Err(FlowError::error("schedule", e.to_string())),
-                    tape,
-                }
-            }
-        };
+        let outcome = result.map_err(|e| FlowError::error("schedule", e.to_string()))?;
         if let Some(deg) = &outcome.degradation {
             tape.counter(metrics::SCHED_FALLBACK, 1);
             if matches!(deg.reason, DegradationReason::BudgetExhausted(_)) {
                 tape.counter(metrics::SOLVER_EXHAUSTED, 1);
             }
-            tape.warn("schedule", deg.to_string());
+            tape.diag(Severity::Warning, "schedule", None, None, deg.to_string());
         }
         tape.unit_attr(
             "scheduler",
@@ -904,120 +585,345 @@ impl Longnail {
             .collect();
         let max_stage_sched = start_time.iter().copied().max().unwrap_or(0);
         tape.counter(metrics::SCHED_STAGES, u64::from(max_stage_sched));
-        tape.gauge(metrics::SCHED_CHAIN_DEPTH, schedule.max_start_time_in_cycle());
+        tape.gauge(
+            metrics::SCHED_CHAIN_DEPTH,
+            schedule.max_start_time_in_cycle(),
+        );
         let start_time_in_cycle = (0..graph.len())
             .map(|i| schedule.start_time_in_cycle[pout.op_ids[i].0])
             .collect();
-        StageVal {
-            outcome: Ok(SolveOut {
-                schedule: Schedule {
-                    start_time,
-                    start_time_in_cycle,
-                },
-                max_stage_sched,
-            }),
-            tape,
-        }
-    }
-
-    /// Builds the scheduling operator type for one LIL operation kind.
-    fn operator_type(
-        &self,
-        kind: &OpKind,
-        is_always: bool,
-        datasheet: &VirtualDatasheet,
-    ) -> Result<OperatorType, FlowError> {
-        let name = kind.mnemonic();
-        if let Some(iface) = lil_iface_op(kind) {
-            if is_always {
-                // §4.4: all interface constraints pinned to stage 0.
-                return Ok(OperatorType::combinational(&name, 0.0).with_window(0, Some(0)));
-            }
-            let timing = datasheet.timing(&iface).ok_or_else(|| {
-                FlowError::error(
-                    "schedule",
-                    format!(
-                        "virtual datasheet of `{}` lacks an entry for {}",
-                        datasheet.core,
-                        iface.key()
-                    ),
-                )
-            })?;
-            // §4.2: WrRD / RdMem / WrMem get latest = ∞ to unlock the
-            // tightly-coupled and decoupled variants.
-            let latest = match kind {
-                OpKind::WriteRd | OpKind::ReadMem | OpKind::WriteMem => None,
-                OpKind::WriteCustReg(_) => None,
-                _ => timing.latest,
-            };
-            let mut ot = OperatorType::sequential(&name, timing.latency, 0.0);
-            ot.earliest = timing.earliest;
-            ot.latest = latest;
-            return Ok(ot);
-        }
-        // Combinational logic: uniform delay, wiring is free (§4.2).
-        let delay = match kind {
-            OpKind::Const(_)
-            | OpKind::Sink
-            | OpKind::Concat
-            | OpKind::Replicate(_)
-            | OpKind::ExtractConst { .. }
-            | OpKind::ZExt
-            | OpKind::SExt
-            | OpKind::Trunc => 0.0,
-            OpKind::Mux | OpKind::Not => 0.2,
-            OpKind::RomRead(_) => UNIFORM_DELAY,
-            _ => UNIFORM_DELAY,
-        };
-        Ok(OperatorType::combinational(&name, delay))
+        Ok(SolveOut {
+            schedule: Schedule {
+                start_time,
+                start_time_in_cycle,
+            },
+            max_stage_sched,
+        })
     }
 }
 
-/// Stage-cache context of one cell compilation: the shared store plus
-/// the two roots every stage key chains from.
-struct PipeCtx<'a> {
+/// Builds the scheduling operator type for one LIL operation kind.
+fn operator_type(
+    kind: &OpKind,
+    is_always: bool,
+    datasheet: &VirtualDatasheet,
+) -> Result<OperatorType, FlowError> {
+    let name = kind.mnemonic();
+    if let Some(iface) = lil_iface_op(kind) {
+        if is_always {
+            // §4.4: all interface constraints pinned to stage 0.
+            return Ok(OperatorType::combinational(&name, 0.0).with_window(0, Some(0)));
+        }
+        let timing = datasheet.timing(&iface).ok_or_else(|| {
+            FlowError::error(
+                "schedule",
+                format!(
+                    "virtual datasheet of `{}` lacks an entry for {}",
+                    datasheet.core,
+                    iface.key()
+                ),
+            )
+        })?;
+        // §4.2: WrRD / RdMem / WrMem get latest = ∞ to unlock the
+        // tightly-coupled and decoupled variants.
+        let latest = match kind {
+            OpKind::WriteRd | OpKind::ReadMem | OpKind::WriteMem => None,
+            OpKind::WriteCustReg(_) => None,
+            _ => timing.latest,
+        };
+        let mut ot = OperatorType::sequential(&name, timing.latency, 0.0);
+        ot.earliest = timing.earliest;
+        ot.latest = latest;
+        return Ok(ot);
+    }
+    // Combinational logic: uniform delay, wiring is free (§4.2).
+    let delay = match kind {
+        OpKind::Const(_)
+        | OpKind::Sink
+        | OpKind::Concat
+        | OpKind::Replicate(_)
+        | OpKind::ExtractConst { .. }
+        | OpKind::ZExt
+        | OpKind::SExt
+        | OpKind::Trunc => 0.0,
+        OpKind::Mux | OpKind::Not => 0.2,
+        _ => UNIFORM_DELAY,
+    };
+    Ok(OperatorType::combinational(&name, delay))
+}
+
+/// One cell's compilation in flight: the stage-key roots, the cell's
+/// trace and diagnostics, and the unit the per-unit stages report into.
+/// Every stage runs through [`CellCtx::run`].
+struct CellCtx<'a> {
+    ln: &'a Longnail,
     pipe: &'a PipelineCache,
+    datasheet: &'a VirtualDatasheet,
+    /// Name fault plans match at stage boundaries: the requested unit
+    /// until the frontend has elaborated the module, then its name.
+    isax: String,
     /// Content-address of the frontend artifact this cell consumes.
     fe_key: Digest,
     /// Content-address of the core/options configuration.
     cfg_key: Digest,
+    tel: Telemetry,
+    /// The cell's root `compile` span.
+    root: SpanId,
+    diagnostics: Diagnostics,
+    /// Span and name of the unit the per-unit stages currently run in.
+    unit: Option<(SpanId, String)>,
 }
 
-/// Runs one backend stage through the cell's stage store: a hit replays
-/// the stored value, a miss runs `compute` and stores its result. The
-/// value is shared, not copied: callers borrow it and clone only what
-/// they keep.
-fn run_stage<T, F>(
-    ctx: &PipeCtx<'_>,
-    stage: &'static str,
-    key: Digest,
-    compute: F,
-    payload_bytes: fn(&T) -> u64,
-) -> Arc<StageVal<T>>
-where
-    T: Send + Sync + 'static,
-    F: FnOnce() -> StageVal<T>,
-{
-    ctx.pipe
-        .store()
-        .get_or_compute_sized(
+impl<'a> CellCtx<'a> {
+    /// Opens the cell's root `compile` span, then derives the two roots
+    /// every stage key chains from.
+    fn open(
+        ln: &'a Longnail,
+        pipe: &'a PipelineCache,
+        unit: &str,
+        src: &str,
+        datasheet: &'a VirtualDatasheet,
+    ) -> Self {
+        let mut tel = Telemetry::new();
+        let root = tel.start_span("compile");
+        tel.attr(root, "core", &datasheet.core);
+        CellCtx {
+            ln,
+            pipe,
+            datasheet,
+            isax: unit.to_string(),
+            fe_key: pipeline::frontend_key(unit, src),
+            cfg_key: pipeline::core_config_key(
+                datasheet,
+                ln.chain_depth,
+                ln.work_limit,
+                &ln.config_fingerprint(),
+            ),
+            tel,
+            root,
+            diagnostics: Diagnostics::default(),
+            unit: None,
+        }
+    }
+
+    /// Crosses a stage boundary: records the stage for panic attribution
+    /// and fires a planned [`FaultKind::Panic`] when this cell is targeted
+    /// at this stage.
+    fn boundary(&self, stage: &'static str) {
+        set_stage(stage);
+        if let Some(plan) = &self.ln.fault_plan {
+            if plan.panic_at(&self.isax, &self.datasheet.core, stage) {
+                panic!(
+                    "injected fault: panic at stage `{stage}` of `{}` for `{}`",
+                    self.isax, self.datasheet.core
+                );
+            }
+        }
+    }
+
+    /// Runs one stage: crosses its boundary, opens its span, looks `key`
+    /// up in the stage store (a miss runs `body` and stores its result and
+    /// tape), replays the tape and closes the span. Returns the shared
+    /// value — callers clone only what they keep — or the cached error.
+    ///
+    /// Tape counters and gauges land on the stage span; attributes and
+    /// diagnostics go to the current unit, or to the stage span when no
+    /// unit is open. `payload_bytes` estimates the value's heap footprint
+    /// for the byte-accounted LRU (`--cache-mem-bytes`).
+    fn run<T: Send + Sync + 'static>(
+        &mut self,
+        stage: &'static str,
+        key: Digest,
+        body: impl FnOnce(&mut Tape) -> Result<T, FlowError>,
+        payload_bytes: impl FnOnce(&T) -> u64,
+    ) -> Result<Arc<T>, FlowError> {
+        self.boundary(stage);
+        let span = self.tel.start_span(stage);
+        let (val, lookup) = self.pipe.store().get_or_compute_sized(
             stage,
             key,
-            || Arc::new(compute()),
-            |v| stage_bytes(v, payload_bytes),
-        )
-        .0
-}
+            || {
+                let mut tape = Tape::default();
+                let outcome = body(&mut tape).map(Arc::new);
+                Arc::new(StageVal { outcome, tape })
+            },
+            |v: &Arc<StageVal<T>>| {
+                // Fixed slot/tape overhead plus a coarse payload estimate:
+                // the cap is a budget, not an allocator audit.
+                512 + match &v.outcome {
+                    Ok(t) => payload_bytes(t),
+                    Err(e) => e.message.len() as u64,
+                }
+            },
+        );
+        if stage == "frontend" {
+            // Which cell wins the miss is a race under concurrency, so
+            // `Trace::stripped` drops these.
+            let (tel, root) = (&mut self.tel, self.root);
+            tel.counter(root, metrics::CACHE_FRONTEND_HIT, u64::from(lookup.hit));
+            tel.counter(root, metrics::CACHE_FRONTEND_MISS, u64::from(!lookup.hit));
+            if lookup.waited {
+                tel.counter(root, metrics::CACHE_FRONTEND_WAIT, 1);
+                tel.counter(root, metrics::CACHE_FRONTEND_WAIT_NS, lookup.wait_ns);
+            }
+        }
+        let (unit_span, unit) = match &self.unit {
+            Some((s, name)) => (*s, Some(name.as_str())),
+            None => (span, None),
+        };
+        self.diagnostics.set_trace_span(Some(unit_span.0));
+        val.tape
+            .replay(&mut self.tel, span, unit_span, &mut self.diagnostics, unit);
+        self.tel.end_span(span);
+        val.outcome.clone()
+    }
 
-/// Rough heap footprint of one cached stage value, charged against the
-/// byte-accounted in-memory LRU (`--cache-mem-bytes`). Coarse per-stage
-/// payload estimates plus a fixed slot/tape overhead — the cap is a
-/// budget, not an allocator audit.
-fn stage_bytes<T>(v: &StageVal<T>, payload: fn(&T) -> u64) -> u64 {
-    const BASE: u64 = 512;
-    match &v.outcome {
-        Ok(t) => BASE + payload(t),
-        Err(e) => BASE + e.message.len() as u64,
+    /// The per-unit stages of one graph: problem → solve → modes → rtl →
+    /// opt (above `-O0`) → verilog.
+    fn compile_graph(
+        &mut self,
+        graph: &Graph,
+        lil: &LilModule,
+        scope: Digest,
+        inject: bool,
+    ) -> Result<CompiledGraph, FlowError> {
+        let (ln, ds) = (self.ln, self.datasheet);
+        let is_always = graph.kind == GraphKind::Always;
+        // Stage keys chain Merkle-style from this graph's scope key: an
+        // upstream edit flips every key downstream of it and no other.
+        let problem_key = pipeline::derive("problem", &[&scope, &self.cfg_key]);
+        let solve_key = pipeline::derive("solve", &[&problem_key]);
+        let modes_key = pipeline::derive("modes", &[&solve_key]);
+        let rtl_key = pipeline::derive("rtl", &[&solve_key]);
+        let opt_key = pipeline::derive("opt", &[&rtl_key]);
+        // The Verilog chains from whichever module actually feeds it:
+        // the optimized one above -O0, the raw build otherwise.
+        let verilog_key = if ln.opt_level == OptLevel::O0 {
+            pipeline::derive("verilog", &[&rtl_key])
+        } else {
+            pipeline::derive("verilog", &[&opt_key])
+        };
+
+        let pout = self.run(
+            "problem",
+            problem_key,
+            |tape| ln.problem_stage(tape, graph, is_always, ds),
+            |p| (p.op_ids.len() as u64 + 1) * 192,
+        )?;
+        if inject {
+            if let Some(plan) = &ln.fault_plan {
+                if plan
+                    .fault(&self.isax, &ds.core, FaultKind::BudgetExhaustion)
+                    .is_some()
+                {
+                    return Err(FlowError::error(
+                        "solve",
+                        "injected fault: solver work budget exhausted before a schedule \
+                         was found",
+                    ));
+                }
+            }
+        }
+        let sout = self.run(
+            "solve",
+            solve_key,
+            |tape| ln.solve_stage(tape, &pout, graph),
+            |s| (s.schedule.start_time.len() as u64 + 1) * 16,
+        )?;
+        let mout = self.run(
+            "modes",
+            modes_key,
+            |tape| modes_stage(tape, graph, is_always, ds, &sout),
+            |_| 64,
+        )?;
+        let built = self.run(
+            "rtl",
+            rtl_key,
+            |tape| rtl_stage(tape, graph, lil, ds, &sout),
+            |b| (b.module.nets.len() as u64 + 1) * 160,
+        )?;
+        let built = if ln.opt_level == OptLevel::O0 {
+            // No `opt` span at -O0, so the default flow is untouched; the
+            // boundary is still crossed so chaos plans targeting `opt`
+            // behave identically at every level.
+            self.boundary("opt");
+            built
+        } else {
+            self.run(
+                "opt",
+                opt_key,
+                |tape| opt_stage(tape, &built, ln.opt_level),
+                |b| (b.module.nets.len() as u64 + 1) * 160,
+            )?
+        };
+        let verilog = self.run(
+            "verilog",
+            verilog_key,
+            |tape| verilog_stage(tape, &built),
+            |v| v.len() as u64,
+        )?;
+
+        let (mask, match_value) = match graph.kind {
+            GraphKind::Instruction { mask, match_value } => (mask, match_value),
+            GraphKind::Always => (0, 0),
+        };
+        Ok(CompiledGraph {
+            name: graph.name.clone(),
+            is_always,
+            mask,
+            match_value,
+            graph: graph.clone(),
+            schedule: sout.schedule.clone(),
+            max_stage: built.max_stage,
+            built: (*built).clone(),
+            verilog: (*verilog).clone(),
+            mode: mout.mode,
+            result_stage: mout.result_stage,
+            spawn_stage: mout.spawn_stage,
+        })
+    }
+
+    /// Closes the root span and assembles the compiled ISAX, mirroring the
+    /// diagnostics into the trace, each linked to the span that was open
+    /// when it fired.
+    fn finish(
+        mut self,
+        module: &TypedModule,
+        lil: &LilModule,
+        graphs: Vec<CompiledGraph>,
+        config: &IsaxConfig,
+    ) -> CompiledIsax {
+        // Copying out of the shared stage values is the cell's work too, so
+        // it happens before the root span closes.
+        let (module, lil, config) = (module.clone(), lil.clone(), config.clone());
+        // Errors that were contained to their unit instead of aborting
+        // the compilation. Omitted (not zero) on clean runs so a clean
+        // trace stays byte-identical to pre-degradation baselines.
+        let recovered = self.diagnostics.of(Severity::Error).count() as u64;
+        if recovered > 0 {
+            self.tel
+                .counter(self.root, metrics::DEGRADE_ERRORS_RECOVERED, recovered);
+        }
+        self.tel.end_span(self.root);
+        for e in &self.diagnostics.events {
+            self.tel.diag(
+                e.trace_span.map(SpanId),
+                &e.severity.to_string(),
+                e.stage,
+                e.unit.as_deref(),
+                &e.message,
+            );
+        }
+        CompiledIsax {
+            name: lil.name.clone(),
+            core: self.datasheet.core.clone(),
+            module,
+            lil,
+            graphs,
+            config,
+            diagnostics: self.diagnostics,
+            trace: self.tel.finish(),
+        }
     }
 }
 
@@ -1044,15 +950,75 @@ pub(crate) struct ModesOut {
     spawn_stage: Option<u32>,
 }
 
+/// Stage `frontend`: parses, elaborates and type-checks `unit` against
+/// the built-in prelude.
+fn frontend_stage(tape: &mut Tape, src: &str, unit: &str) -> Result<TypedModule, FlowError> {
+    let out = Frontend::new().compile_str_all(src, unit);
+    if !out.errors.is_empty() {
+        return Err(FlowError::frontend(out.errors));
+    }
+    let module = out
+        .module
+        .ok_or_else(|| FlowError::error("frontend", "elaboration produced no module"))?;
+    let stats = module.stats();
+    tape.counter(metrics::FRONTEND_INSTRUCTIONS, stats.instructions as u64);
+    tape.counter(metrics::FRONTEND_ALWAYS, stats.always_blocks as u64);
+    tape.counter(metrics::FRONTEND_FUNCTIONS, stats.functions as u64);
+    Ok(module)
+}
+
+/// Source span of the instruction or always-block named `unit`.
+fn source_span(module: &TypedModule, unit: &str) -> Option<Span> {
+    let instructions = module.instructions.iter().map(|i| (&i.name, i.span));
+    let always = module.always_blocks.iter().map(|a| (&a.name, a.span));
+    instructions
+        .chain(always)
+        .find_map(|(name, span)| (name == unit).then_some(span))
+}
+
+/// Stage `lower`: lowers the typed module to verified LIL. A unit that
+/// fails to lower or verify is left out and reported on the tape, so the
+/// core-independent diagnostic replays into every cell of the ISAX.
+fn lower_stage(tape: &mut Tape, module: &TypedModule) -> Result<LilModule, FlowError> {
+    let mut lil = lower_state(module);
+    let lowered = module
+        .instructions
+        .iter()
+        .map(|i| lower_instruction(module, i))
+        .chain(module.always_blocks.iter().map(|a| lower_always(module, a)));
+    for result in lowered {
+        let graph = match result {
+            Ok(g) => g,
+            Err(e) => {
+                let span = source_span(module, &e.unit);
+                tape.diag(Severity::Error, "lower", Some(&e.unit), span, e.message);
+                continue;
+            }
+        };
+        // Stage verifier: a graph the lowering itself produced must be
+        // well-formed; a violation is a compiler bug, contained to this
+        // unit.
+        if let Err(errs) = verify_graph(&graph, &lil) {
+            let span = source_span(module, &graph.name);
+            let msg = join_findings(&errs);
+            tape.diag(Severity::Fault, "verify", Some(&graph.name), span, msg);
+            continue;
+        }
+        lil.graphs.push(graph);
+    }
+    tape.counter("lower.graphs", lil.graphs.len() as u64);
+    Ok(lil)
+}
+
 /// Stage `modes`: per-write-interface mode selection (§4.3) and the
 /// overall execution mode.
 fn modes_stage(
+    tape: &mut Tape,
     graph: &Graph,
     is_always: bool,
     datasheet: &VirtualDatasheet,
     sout: &SolveOut,
-) -> StageVal<ModesOut> {
-    let mut tape = Tape::default();
+) -> Result<ModesOut, FlowError> {
     let mut mode = if is_always {
         ExecutionMode::Always
     } else {
@@ -1070,15 +1036,9 @@ fn modes_stage(
         }
         if !is_always && mode_relevant(&op.kind) {
             let iface = lil_iface_op(&op.kind).expect("interface op");
-            let Some(timing) = datasheet.timing(&iface) else {
-                return StageVal {
-                    outcome: Err(FlowError::error(
-                        "modes",
-                        format!("datasheet lacks {} timing", iface.key()),
-                    )),
-                    tape,
-                };
-            };
+            let timing = datasheet.timing(&iface).ok_or_else(|| {
+                FlowError::error("modes", format!("datasheet lacks {} timing", iface.key()))
+            })?;
             let m = select_mode(stage, timing, datasheet.writeback_stage, op.in_spawn, false);
             mode = worst_mode(mode, m);
         }
@@ -1092,24 +1052,22 @@ fn modes_stage(
     };
     tape.counter(metrics::SCHED_II, ii);
     tape.unit_attr("mode", mode.to_string());
-    StageVal {
-        outcome: Ok(ModesOut {
-            mode,
-            result_stage,
-            spawn_stage,
-        }),
-        tape,
-    }
+    Ok(ModesOut {
+        mode,
+        result_stage,
+        spawn_stage,
+    })
 }
 
-/// Stage `rtl`: hardware construction and the netlist lint gate.
+/// Stage `rtl`: hardware construction and the netlist lint gate. Lint
+/// findings are internal faults: the netlist is compiler-constructed.
 fn rtl_stage(
+    tape: &mut Tape,
     graph: &Graph,
     lil: &LilModule,
     datasheet: &VirtualDatasheet,
     sout: &SolveOut,
-) -> StageVal<BuiltModule> {
-    let mut tape = Tape::default();
+) -> Result<BuiltModule, FlowError> {
     let ds = datasheet.clone();
     let read_latency = move |kind: &OpKind| -> u32 {
         lil_iface_op(kind)
@@ -1119,29 +1077,27 @@ fn rtl_stage(
     };
     let built = build_graph_module(graph, lil, &sout.schedule.start_time, &read_latency);
     // Netlist lint: last gate before SystemVerilog leaves the compiler.
-    if let Err(issues) = lint_module(&built.module) {
-        return StageVal {
-            outcome: Err(FlowError::fault(
-                "netlist",
-                issues
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            )),
-            tape,
-        };
-    }
+    lint_module(&built.module)
+        .map_err(|issues| FlowError::fault("netlist", join_findings(&issues)))?;
     tape.counter(metrics::RTL_CELLS, built.module.nets.len() as u64);
     tape.counter(metrics::RTL_REG_BITS, built.module.register_bits());
-    tape.counter(metrics::RTL_COMB_DEPTH, u64::from(comb_depth(&built.module)));
+    tape.counter(
+        metrics::RTL_COMB_DEPTH,
+        u64::from(comb_depth(&built.module)),
+    );
     let estimate = eda::estimate_module(&TechLibrary::new(), &built.module);
     tape.gauge(metrics::EDA_AREA_UM2, estimate.area.total());
     tape.gauge(metrics::EDA_CRIT_NS, estimate.timing.critical_path_ns);
-    StageVal {
-        outcome: Ok(built),
-        tape,
-    }
+    Ok(built)
+}
+
+/// One `; `-separated message from a verifier's or lint's findings.
+fn join_findings<T: ToString>(findings: &[T]) -> String {
+    findings
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join("; ")
 }
 
 /// Cycles of lockstep stimulus the opt stage's runtime oracle drives
@@ -1159,44 +1115,31 @@ const OPT_VERIFY_CYCLES: u32 = 32;
 /// stage falls back to the unoptimized netlist, records a warning, and
 /// counts the fallback. (The third gate — `lnc --xcheck` over the full
 /// matrix — runs downstream on whatever module this stage emits.)
-fn opt_stage(built: &BuiltModule, level: OptLevel) -> StageVal<BuiltModule> {
-    let mut tape = Tape::default();
+fn opt_stage(
+    tape: &mut Tape,
+    built: &BuiltModule,
+    level: OptLevel,
+) -> Result<BuiltModule, FlowError> {
     let opts = EmitOptions::default();
-    let fall_back = |mut tape: Tape, why: String| {
-        tape.warn(
-            "opt",
-            format!("optimization disabled for this unit: {why}"),
-        );
-        tape.counter(metrics::OPT_FALLBACK, 1);
-        StageVal {
-            outcome: Ok(built.clone()),
-            tape,
-        }
-    };
-    let (module, report) = match optimize(&built.module, level, &opts) {
+    let gated = optimize(&built.module, level, &opts).and_then(|(module, report)| {
+        lint_module(&module).map_err(|issues| {
+            format!("optimized netlist failed lint: {}", join_findings(&issues))
+        })?;
+        verify_equivalent(&built.module, &module, &opts, OPT_VERIFY_CYCLES)
+            .map_err(|e| format!("optimized netlist failed the lockstep oracle: {e}"))?;
+        Ok((module, report))
+    });
+    let (module, report) = match gated {
         Ok(out) => out,
         // A structurally invalid rewrite never leaves the pass manager;
         // emit the known-good module instead.
-        Err(e) => return fall_back(tape, e),
+        Err(why) => {
+            let msg = format!("optimization disabled for this unit: {why}");
+            tape.diag(Severity::Warning, "opt", None, None, msg);
+            tape.counter(metrics::OPT_FALLBACK, 1);
+            return Ok(built.clone());
+        }
     };
-    let gate = lint_module(&module)
-        .map_err(|issues| {
-            format!(
-                "optimized netlist failed lint: {}",
-                issues
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            )
-        })
-        .and_then(|()| {
-            verify_equivalent(&built.module, &module, &opts, OPT_VERIFY_CYCLES)
-                .map_err(|e| format!("optimized netlist failed the lockstep oracle: {e}"))
-        });
-    if let Err(why) = gate {
-        return fall_back(tape, why);
-    }
     tape.counter(metrics::OPT_ITERATIONS, u64::from(report.iterations));
     for (pass, count) in &report.rewrites {
         let name = match *pass {
@@ -1223,101 +1166,29 @@ fn opt_stage(built: &BuiltModule, level: OptLevel) -> StageVal<BuiltModule> {
     tape.gauge(metrics::EDA_CRIT_NS, after.timing.critical_path_ns);
     let mut out = built.clone();
     out.module = module;
-    StageVal {
-        outcome: Ok(out),
-        tape,
-    }
+    Ok(out)
 }
 
 /// Stage `verilog`: SystemVerilog emission.
-fn verilog_stage(built: &BuiltModule) -> StageVal<String> {
-    let mut tape = Tape::default();
+fn verilog_stage(tape: &mut Tape, built: &BuiltModule) -> Result<String, FlowError> {
     let verilog = emit_verilog(&built.module);
     tape.counter(metrics::VERILOG_BYTES, verilog.len() as u64);
-    StageVal {
-        outcome: Ok(verilog),
-        tape,
-    }
+    Ok(verilog)
 }
 
 /// Stage `config`: the Figure 8 SCAIE-V configuration file.
-fn config_stage(lil: &LilModule, graphs: &[CompiledGraph]) -> StageVal<IsaxConfig> {
-    let mut tape = Tape::default();
+fn config_stage(
+    tape: &mut Tape,
+    lil: &LilModule,
+    graphs: &[CompiledGraph],
+) -> Result<IsaxConfig, FlowError> {
     let config = build_config(lil, graphs);
-    tape.counter(metrics::CONFIG_ENTRIES, config.schedule_entry_count() as u64);
+    tape.counter(
+        metrics::CONFIG_ENTRIES,
+        config.schedule_entry_count() as u64,
+    );
     tape.counter(metrics::CONFIG_REGISTERS, config.registers.len() as u64);
-    StageVal {
-        outcome: Ok(config),
-        tape,
-    }
-}
-
-/// The core-independent half of a compilation: the elaborated typed
-/// module plus its verified LIL lowering and any per-unit diagnostics the
-/// lowering raised. Produced once per `(source, unit)` pair and shared —
-/// via the `frontend` stage of the [`PipelineCache`] — across every core
-/// the ISAX is compiled for.
-#[derive(Debug, Clone)]
-struct FrontendArtifacts {
-    /// The elaborated, type-checked module.
-    module: TypedModule,
-    /// The lowered LIL module; only graphs that passed the stage verifier
-    /// are present.
-    lil: LilModule,
-    /// Diagnostics raised during lowering/verification. Core-independent,
-    /// so they are replayed verbatim into every per-core compilation
-    /// (re-stamped with that compilation's trace span).
-    lower_events: Vec<DiagEvent>,
-}
-
-/// Lowers a type-checked module to verified LIL, capturing per-unit
-/// problems as replayable events instead of aborting.
-fn lower_artifacts(module: TypedModule) -> FrontendArtifacts {
-    let mut diagnostics = Diagnostics::default();
-    let mut lil = lower_state(&module);
-    let spans: HashMap<String, Span> = module
-        .instructions
-        .iter()
-        .map(|i| (i.name.clone(), i.span))
-        .chain(module.always_blocks.iter().map(|a| (a.name.clone(), a.span)))
-        .collect();
-    let lowered = module
-        .instructions
-        .iter()
-        .map(|i| lower_instruction(&module, i))
-        .chain(module.always_blocks.iter().map(|a| lower_always(&module, a)));
-    for result in lowered {
-        let graph = match result {
-            Ok(g) => g,
-            Err(e) => {
-                diagnostics.error(
-                    "lower",
-                    Some(&e.unit),
-                    spans.get(&e.unit).copied(),
-                    e.message,
-                );
-                continue;
-            }
-        };
-        // Stage verifier: a graph the lowering itself produced must be
-        // well-formed; a violation is a compiler bug, contained to this
-        // unit.
-        if let Err(errs) = verify_graph(&graph, &lil) {
-            let msg = errs
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ");
-            diagnostics.fault("verify", Some(&graph.name), spans.get(&graph.name).copied(), msg);
-            continue;
-        }
-        lil.graphs.push(graph);
-    }
-    FrontendArtifacts {
-        module,
-        lil,
-        lower_events: diagnostics.events,
-    }
+    Ok(config)
 }
 
 /// One cell of work for [`Longnail::compile_cells`]: an ISAX source

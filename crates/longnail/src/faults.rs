@@ -1,7 +1,7 @@
 //! Deterministic, config-driven fault injection for batch robustness.
 //!
 //! A [`FaultPlan`] tells the driver to break specific matrix cells on
-//! purpose — a forced panic at one of the eight pipeline stage
+//! purpose — a forced panic at one of the nine pipeline stage
 //! boundaries, a forced parse error, solver-budget exhaustion, or a
 //! poisoned `frontend` entry of the [`crate::PipelineCache`] — so the graceful-
 //! degradation machinery (per-cell isolation, `--keep-going`, partial

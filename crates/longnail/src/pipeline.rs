@@ -1,19 +1,23 @@
 //! Query-style incremental pipeline plumbing.
 //!
-//! Each of the eight telemetry stages (frontend / lower / problem / solve
-//! / modes / rtl / verilog / config) is a *query*: a pure function of a
-//! content-addressed key. Keys chain Merkle-style —
+//! Each of the nine telemetry stages (frontend / lower / problem / solve
+//! / modes / rtl / opt / verilog / config) is a *query*: a pure function
+//! of a content-addressed key. Keys chain Merkle-style —
 //!
 //! ```text
-//! frontend_key = H(unit ‖ source)                    (lower rides along)
+//! frontend_key = H(unit ‖ source)
+//! lower_key    = H("lower" ‖ frontend_key)
 //! cfg_key      = H(datasheet ‖ clock ‖ chain ‖ work-limit ‖ config-fp)
 //! graph_key    = H(frontend_key ‖ graph-index ‖ graph-name)
 //! problem_key  = H("problem" ‖ graph_key ‖ cfg_key)
 //! solve_key    = H("solve" ‖ problem_key)
 //! modes_key    = H("modes" ‖ solve_key)
 //! rtl_key      = H("rtl" ‖ solve_key)
-//! verilog_key  = H("verilog" ‖ rtl_key)
-//! config_key   = H("config" ‖ frontend_key ‖ cfg_key)
+//! opt_key      = H("opt" ‖ rtl_key)                    (-O1/-O2 only)
+//! verilog_key  = H("verilog" ‖ rtl_key)                (-O0)
+//!              = H("verilog" ‖ opt_key)                (-O1/-O2)
+//! config_key   = H("config" ‖ frontend_key ‖ cfg_key ‖ graph_key of
+//!                  every unit that compiled)
 //! cell_key     = H("cell" ‖ frontend_key ‖ cfg_key)
 //! ```
 //!
@@ -24,17 +28,20 @@
 //! *inputs* instead of the upstream artifact bytes: same inputs, same
 //! artifact.
 //!
-//! Cached stage values are shared [`StageVal`]s: the stage outcome plus a
-//! [`Tape`] of the telemetry the computation emitted. A cache hit
-//! *replays* the tape onto the live trace, so a warm compilation's trace
-//! is byte-identical (after [`telemetry::Trace::stripped`]) to a cold
-//! one — the determinism contract holds by construction, not by luck.
+//! Cached stage values are shared `StageVal`s: the stage outcome plus a
+//! `Tape` of the telemetry and diagnostics the computation emitted.
+//! Every lookup *replays* the tape onto the live trace, so a warm
+//! compilation's trace is byte-identical (after
+//! [`telemetry::Trace::stripped`]) to a cold one — the determinism
+//! contract holds by construction, not by luck.
 
-use crate::diag::Diagnostics;
+use crate::diag::{Diagnostics, Severity};
+use coredsl::error::Span;
 use qcache::{Digest, DiskCache, Sha256, StageStats, Store};
 use scaiev::datasheet::{Timing, VirtualDatasheet};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 use telemetry::{SpanId, Telemetry};
 
 /// Bump when the serialized shape of any cached artifact changes; the
@@ -122,7 +129,8 @@ pub struct StageCacheStats {
     pub waits: u64,
 }
 
-/// Content-address of the core-independent frontend + lowering artifact.
+/// Content-address of the core-independent frontend artifact (the typed
+/// module); the `lower` stage key chains from it.
 pub fn frontend_key(unit: &str, src: &str) -> Digest {
     Sha256::new()
         .chain(b"longnail.frontend\0")
@@ -238,8 +246,15 @@ pub(crate) enum TapeOp {
     Gauge(&'static str, f64),
     /// Attribute on the enclosing unit span.
     UnitAttr(&'static str, String),
-    /// Warning diagnostic attributed to `(stage, current unit)`.
-    Warn(&'static str, String),
+    /// Diagnostic; a missing unit is filled in with the current unit on
+    /// replay.
+    Diag {
+        severity: Severity,
+        stage: &'static str,
+        unit: Option<String>,
+        span: Option<Span>,
+        message: String,
+    },
 }
 
 /// Ordered telemetry ops of one stage computation. Replayed identically
@@ -263,28 +278,49 @@ impl Tape {
         self.ops.push(TapeOp::UnitAttr(name, value));
     }
 
-    pub(crate) fn warn(&mut self, stage: &'static str, message: String) {
-        self.ops.push(TapeOp::Warn(stage, message));
+    pub(crate) fn diag(
+        &mut self,
+        severity: Severity,
+        stage: &'static str,
+        unit: Option<&str>,
+        span: Option<Span>,
+        message: String,
+    ) {
+        self.ops.push(TapeOp::Diag {
+            severity,
+            stage,
+            unit: unit.map(str::to_owned),
+            span,
+            message,
+        });
     }
 
     /// Plays the tape onto a live compilation: counters and gauges target
-    /// the open stage span, attributes the enclosing unit span, warnings
-    /// the diagnostics sink (attributed to `unit`).
+    /// the open stage span, attributes the enclosing unit span,
+    /// diagnostics the diagnostics sink (attributed to `unit` unless the
+    /// op names its own).
     pub(crate) fn replay(
         &self,
         tel: &mut Telemetry,
         stage_span: SpanId,
         unit_span: SpanId,
         diagnostics: &mut Diagnostics,
-        unit: &str,
+        unit: Option<&str>,
     ) {
         for op in &self.ops {
             match op {
                 TapeOp::Counter(name, v) => tel.counter(stage_span, name, *v),
                 TapeOp::Gauge(name, v) => tel.gauge(stage_span, name, *v),
                 TapeOp::UnitAttr(name, v) => tel.attr(unit_span, name, v),
-                TapeOp::Warn(stage, msg) => {
-                    diagnostics.warn(stage, Some(unit), None, msg.clone());
+                TapeOp::Diag {
+                    severity,
+                    stage,
+                    unit: own,
+                    span,
+                    message,
+                } => {
+                    let unit = own.as_deref().or(unit);
+                    diagnostics.push(*severity, stage, unit, *span, message.clone());
                 }
             }
         }
@@ -294,9 +330,9 @@ impl Tape {
 /// A cached stage computation: its outcome (errors are cached too — a
 /// deterministically failing stage fails identically warm) plus the
 /// telemetry tape recorded up to the point the computation returned.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StageVal<T> {
-    pub outcome: Result<T, crate::driver::FlowError>,
+    pub outcome: Result<Arc<T>, crate::driver::FlowError>,
     pub tape: Tape,
 }
 
@@ -356,7 +392,9 @@ impl CellBundle {
         let mut files = Vec::new();
         for _ in 0..count {
             let name_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-            let name = std::str::from_utf8(take(&mut pos, name_len)?).ok()?.to_string();
+            let name = std::str::from_utf8(take(&mut pos, name_len)?)
+                .ok()?
+                .to_string();
             let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
             let len = usize::try_from(len).ok()?;
             let contents = std::str::from_utf8(take(&mut pos, len)?).ok()?.to_string();
@@ -386,7 +424,11 @@ mod tests {
         let ds = crate::driver::builtin_datasheet("ORCA").unwrap();
         let base = core_config_key(&ds, 6.0, 1000, "opt=0");
         assert_eq!(base, core_config_key(&ds, 6.0, 1000, "opt=0"));
-        assert_ne!(base, core_config_key(&ds, 7.0, 1000, "opt=0"), "chain depth");
+        assert_ne!(
+            base,
+            core_config_key(&ds, 7.0, 1000, "opt=0"),
+            "chain depth"
+        );
         assert_ne!(base, core_config_key(&ds, 6.0, 1001, "opt=0"), "work limit");
         assert_ne!(base, core_config_key(&ds, 6.0, 1000, "opt=2"), "opt level");
         let mut faster = ds.clone();
@@ -395,9 +437,17 @@ mod tests {
         let mut slower_read = ds.clone();
         let timing = slower_read.entries.values_mut().next().unwrap();
         timing.latency += 1;
-        assert_ne!(base, core_config_key(&slower_read, 6.0, 1000, "opt=0"), "interface timing");
+        assert_ne!(
+            base,
+            core_config_key(&slower_read, 6.0, 1000, "opt=0"),
+            "interface timing"
+        );
         let other = crate::driver::builtin_datasheet("Piccolo").unwrap();
-        assert_ne!(base, core_config_key(&other, 6.0, 1000, "opt=0"), "datasheet");
+        assert_ne!(
+            base,
+            core_config_key(&other, 6.0, 1000, "opt=0"),
+            "datasheet"
+        );
     }
 
     #[test]

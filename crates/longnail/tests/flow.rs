@@ -91,10 +91,8 @@ fn schedules_respect_core_windows() {
 
 #[test]
 fn golden_machine_runs_dotp_program() {
-    let mut ln = Longnail::new();
     let (unit, src) = isax_lib::isax_source("dotprod").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();
@@ -121,10 +119,8 @@ fn golden_machine_runs_dotp_program() {
 fn golden_machine_zero_overhead_loop() {
     // A loop summing 1..=5 into a0 without any branch instruction: the
     // zol always-block redirects the PC.
-    let mut ln = Longnail::new();
     let (unit, src) = isax_lib::isax_source("zol").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();
@@ -154,10 +150,8 @@ fn golden_machine_zero_overhead_loop() {
 
 #[test]
 fn golden_machine_autoinc_stream() {
-    let mut ln = Longnail::new();
     let (unit, src) = isax_lib::isax_source("autoinc").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();
@@ -188,10 +182,8 @@ fn golden_machine_autoinc_stream() {
 
 #[test]
 fn golden_machine_sqrt_matches_float() {
-    let mut ln = Longnail::new();
     let (unit, src) = isax_lib::isax_source("sqrt_decoupled").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();
@@ -214,10 +206,8 @@ fn golden_machine_sqrt_matches_float() {
 
 #[test]
 fn ijmp_redirects_pc_via_memory() {
-    let mut ln = Longnail::new();
     let (unit, src) = isax_lib::isax_source("ijmp").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();
@@ -246,10 +236,8 @@ fn ijmp_redirects_pc_via_memory() {
 
 #[test]
 fn sbox_lookup_matches_aes() {
-    let mut ln = Longnail::new();
     let (unit, src) = isax_lib::isax_source("sbox").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();
@@ -281,10 +269,8 @@ fn sparkle_alzette_reference() {
         }
         (x, y)
     }
-    let mut ln = Longnail::new();
     let (unit, src) = isax_lib::isax_source("sparkle").unwrap();
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(&src, &unit)
         .map_err(|e| e.to_string())
         .unwrap();
@@ -307,11 +293,11 @@ fn sparkle_alzette_reference() {
 #[test]
 fn combined_autoinc_zol_machine() {
     // The §5.5 case-study combination: both ISAXes active at once.
-    let mut ln = Longnail::new();
     let (unit_a, src_a) = isax_lib::isax_source("autoinc").unwrap();
     let (unit_z, src_z) = isax_lib::isax_source("zol").unwrap();
-    let ma = ln.frontend_mut().compile_str(&src_a, &unit_a).map_err(|e| e.to_string()).unwrap();
-    let mz = ln.frontend_mut().compile_str(&src_z, &unit_z).map_err(|e| e.to_string()).unwrap();
+    let frontend = coredsl::Frontend::new();
+    let ma = frontend.compile_str(&src_a, &unit_a).map_err(|e| e.to_string()).unwrap();
+    let mz = frontend.compile_str(&src_z, &unit_z).map_err(|e| e.to_string()).unwrap();
     let mut asm = Assembler::new();
     isax_lib::register_mnemonics(&mut asm, &ma).unwrap();
     isax_lib::register_mnemonics(&mut asm, &mz).unwrap();

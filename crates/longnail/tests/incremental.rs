@@ -6,7 +6,7 @@
 
 use longnail::driver::builtin_datasheet;
 use longnail::serve::{probe_cell, store_cell};
-use longnail::{isax_lib, Longnail, MatrixCell, PipelineCache};
+use longnail::{isax_lib, Longnail, MatrixCell, PipelineCache, Severity};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -120,6 +120,69 @@ proptest! {
         );
         assert_byte_identical(&cold, &warm);
     }
+}
+
+/// Two instructions: `good` compiles; `bad` passes sema but fails
+/// lowering, because a `spawn` must be its block's last statement.
+const HALF_BROKEN: &str = r#"
+import "RV32I.core_desc";
+InstructionSet X_HALF extends RV32I {
+  instructions {
+    good {
+      encoding: 7'd0 :: rs2[4:0] :: rs1[4:0] :: 3'd0 :: rd[4:0] :: 7'b0001011;
+      behavior: { X[rd] = X[rs1] ^ X[rs2]; }
+    }
+    bad {
+      encoding: 25'd1 :: 7'b0101011;
+      behavior: {
+        spawn { PC = (unsigned<32>)(PC + 8); }
+        unsigned<8> after = 1;
+      }
+    }
+  }
+}
+"#;
+
+/// A unit rejected by lowering is contained: its diagnostic (stage,
+/// unit, source span, link to the `lower` span) replays from the cached
+/// `lower` stage, so a warm compile reports exactly what the cold one did
+/// without recomputing any stage.
+#[test]
+fn contained_lowering_errors_replay_warm() {
+    let ln = Longnail::new();
+    let cell = MatrixCell {
+        isax: "half".into(),
+        unit: "X_HALF".into(),
+        src: HALF_BROKEN.into(),
+        datasheet: builtin_datasheet("ORCA").unwrap(),
+    };
+    let pipe = PipelineCache::new();
+    let cold = ln.compile_cells(std::slice::from_ref(&cell), 1, &pipe);
+    let warm = ln.compile_cells(std::slice::from_ref(&cell), 1, &pipe);
+    let compiled = |m: &longnail::MatrixResult| m.entries[0].outcome.clone().unwrap();
+    let (cold_isax, warm_isax) = (compiled(&cold), compiled(&warm));
+    for c in [&cold_isax, &warm_isax] {
+        assert!(c.graph("good").is_some(), "the good unit compiles");
+        assert!(c.graph("bad").is_none());
+        let errors: Vec<_> = c.diagnostics.of(Severity::Error).collect();
+        assert_eq!(errors.len(), 1, "{}", c.diagnostics.render());
+        let e = errors[0];
+        assert_eq!((e.stage, e.unit.as_deref()), ("lower", Some("bad")));
+        let bad = c.module.instructions.iter().find(|i| i.name == "bad").unwrap();
+        assert_eq!(e.span, Some(bad.span));
+        let lower_span = c
+            .trace
+            .span_starts()
+            .find(|&(_, _, name, _)| name == "lower")
+            .map(|(id, ..)| id.0);
+        assert_eq!(e.trace_span, lower_span, "links to the lower span");
+    }
+    assert_eq!(cold_isax.diagnostics.render(), warm_isax.diagnostics.render());
+    assert_eq!(cold_isax.trace.stripped(), warm_isax.trace.stripped());
+    for s in &warm.stage_stats {
+        assert_eq!(s.misses, 0, "warm `{}` recomputed", s.stage);
+    }
+    assert!(warm.stage("lower").hits == 1 && warm.stage("verilog").hits == 1);
 }
 
 fn tmp_root(tag: &str) -> PathBuf {

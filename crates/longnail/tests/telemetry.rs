@@ -2,8 +2,8 @@
 //! pipeline stage, carries non-trivial solver counters, survives a JSONL
 //! round trip, and is deterministic modulo wall-clock timings.
 
-use longnail::driver::builtin_datasheet;
-use longnail::{isax_lib, Longnail, Severity};
+use longnail::driver::{builtin_datasheet, eval_datasheets};
+use longnail::{isax_lib, Longnail, MatrixCell, PipelineCache, Severity};
 use telemetry::{metrics, EventKind, Trace, STAGES};
 
 fn compile_dotprod() -> longnail::CompiledIsax {
@@ -107,4 +107,26 @@ fn budget_exhaustion_emits_counter_and_warning_diagnostic() {
         .events
         .iter()
         .any(|e| matches!(&e.kind, EventKind::Diag { severity, .. } if severity == "warning")));
+}
+
+/// The root `compile` span times the whole cell, frontend and lowering
+/// included: over a cold serial 8×4 matrix the root spans must cover at
+/// least 90% of the time the pool measured running the cells. Best of 3
+/// rounds, each on a fresh cache, so a descheduled round cannot fail it.
+#[test]
+fn compile_span_covers_the_cells_work() {
+    let ln = Longnail::new();
+    let cells = MatrixCell::grid(&isax_lib::all_isaxes(), &eval_datasheets());
+    let mut best = 0.0f64;
+    for _ in 0..3 {
+        let matrix = ln.compile_cells(&cells, 1, &PipelineCache::new());
+        assert_eq!(matrix.compiled().count(), cells.len(), "every cell compiles");
+        let spanned: u64 = matrix
+            .compiled()
+            .flat_map(|(_, c)| c.trace.span_durations_ns("compile"))
+            .sum();
+        let run: u64 = matrix.pool_stats.per_job.iter().map(|j| j.run_ns).sum();
+        best = best.max(spanned as f64 / run as f64);
+    }
+    assert!(best >= 0.9, "root spans cover {best:.3} of the cells' run time");
 }

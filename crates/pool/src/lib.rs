@@ -17,6 +17,8 @@
 //!
 //! Panic semantics: a panic inside `f` is forwarded to the caller after
 //! all workers have stopped claiming work, like `std::thread::scope`.
+//! Callers that must keep going past a failed job catch the panic inside
+//! `f` (the compile matrix does, to attribute it to a pipeline stage).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,9 +60,8 @@ pub struct WorkerStats {
 pub struct RunStats {
     /// Wall time of the whole run.
     pub wall_ns: u64,
-    /// Per-job statistics, in job-index order (one entry per job that
-    /// ran to completion or isolated-panic; empty after a propagated
-    /// panic, which unwinds past the stats).
+    /// Per-job statistics, in job-index order (one entry per job; a
+    /// propagated panic unwinds past the stats).
     pub per_job: Vec<JobStats>,
     /// Per-worker statistics, indexed by worker. Length is the number of
     /// workers that actually spawned (`min(workers, jobs)`, or 1 for the
@@ -88,21 +89,6 @@ impl RunStats {
         self.per_worker
             .get(worker)
             .map_or(0.0, |w| w.busy_ns as f64 / self.wall_ns as f64)
-    }
-}
-
-/// A captured panic from one isolated job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Index of the job that panicked.
-    pub index: usize,
-    /// Best-effort panic message (see [`panic_message`]).
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} panicked: {}", self.index, self.message)
     }
 }
 
@@ -283,43 +269,6 @@ impl Pool {
         };
         (results, stats)
     }
-
-    /// Runs `f(i)` for every `i in 0..jobs` with per-job panic isolation:
-    /// a panicking job yields `Err(JobPanic)` in its slot (with the
-    /// captured panic message) while **every other job still runs**,
-    /// unlike [`Pool::run`], which stops the queue on the first panic.
-    ///
-    /// Results come back in index order, so output is byte-identical for
-    /// any worker count. This is the execution mode batch drivers use to
-    /// turn one faulting cell into one diagnostic instead of losing the
-    /// whole batch.
-    pub fn run_isolated<T, F>(&self, jobs: usize, f: F) -> Vec<Result<T, JobPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_isolated_with_stats(jobs, f).0
-    }
-
-    /// Like [`Pool::run_isolated`], additionally returning [`RunStats`].
-    /// Isolated jobs never unwind the pool, so `per_job` always has one
-    /// entry per job — a panicking job's `run_ns` covers up to the panic.
-    pub fn run_isolated_with_stats<T, F>(
-        &self,
-        jobs: usize,
-        f: F,
-    ) -> (Vec<Result<T, JobPanic>>, RunStats)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_with_stats(jobs, |i| {
-            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| JobPanic {
-                index: i,
-                message: panic_message(p.as_ref()),
-            })
-        })
-    }
 }
 
 type PanicPayload = Box<dyn std::any::Any + Send>;
@@ -327,16 +276,6 @@ type PanicPayload = Box<dyn std::any::Any + Send>;
 struct WorkerOutput<T> {
     claimed: Vec<(usize, T, JobStats)>,
     panic: Option<(usize, PanicPayload)>,
-}
-
-/// Convenience wrapper: `run_indexed(jobs, workers, f)` ==
-/// `Pool::new(workers).run(jobs, f)`.
-pub fn run_indexed<T, F>(jobs: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    Pool::new(workers).run(jobs, f)
 }
 
 #[cfg(test)]
@@ -436,54 +375,16 @@ mod tests {
     }
 
     #[test]
-    fn isolated_mode_keeps_other_jobs_alive() {
-        for workers in [1, 2, 4] {
-            let got = Pool::new(workers).run_isolated(10, |i| {
-                if i == 3 {
-                    panic!("cell three fell over");
-                }
-                i * 10
-            });
-            assert_eq!(got.len(), 10);
-            for (i, r) in got.iter().enumerate() {
-                match r {
-                    Ok(v) if i != 3 => assert_eq!(*v, i * 10),
-                    Err(p) if i == 3 => {
-                        assert_eq!(p.index, 3);
-                        assert_eq!(p.message, "cell three fell over");
-                    }
-                    other => panic!("job {i}: unexpected {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn isolated_mode_captures_string_payloads_and_formats() {
-        let got = Pool::new(1).run_isolated(2, |i| {
-            if i == 0 {
-                std::panic::panic_any(format!("dynamic {i}"));
-            }
-            i
-        });
-        let p = got[0].as_ref().unwrap_err();
-        assert_eq!(p.message, "dynamic 0");
-        assert_eq!(p.to_string(), "job 0 panicked: dynamic 0");
-        assert_eq!(got[1], Ok(1));
-    }
-
-    #[test]
     fn non_string_panic_payloads_degrade_gracefully() {
-        let got = Pool::new(2).run_isolated(3, |i| {
-            if i == 1 {
-                std::panic::panic_any(42_u32);
-            }
-            i
-        });
+        let payload = std::panic::catch_unwind(|| std::panic::panic_any(42_u32))
+            .expect_err("panic_any must unwind");
         assert_eq!(
-            got[1].as_ref().unwrap_err().message,
+            panic_message(payload.as_ref()),
             "<non-string panic payload>"
         );
+        let payload = std::panic::catch_unwind(|| std::panic::panic_any("dynamic 0".to_string()))
+            .expect_err("panic_any must unwind");
+        assert_eq!(panic_message(payload.as_ref()), "dynamic 0");
     }
 
     #[test]
@@ -521,20 +422,6 @@ mod tests {
         // Serial queue: job 2 cannot have waited less than job 0.
         assert!(stats.per_job[2].queue_wait_ns >= stats.per_job[0].queue_wait_ns);
         assert!(stats.queue_wait_total_ns() >= stats.per_job[2].queue_wait_ns);
-    }
-
-    #[test]
-    fn isolated_stats_cover_panicking_jobs_too() {
-        let (got, stats) = Pool::new(2).run_isolated_with_stats(6, |i| {
-            if i == 2 {
-                panic!("boom");
-            }
-            i
-        });
-        assert!(got[2].is_err());
-        // Isolation means the panicking job still yields a stats entry.
-        assert_eq!(stats.per_job.len(), 6);
-        assert_eq!(stats.per_worker.iter().map(|w| w.jobs).sum::<u64>(), 6);
     }
 
     #[test]

@@ -282,22 +282,6 @@ impl Store {
         }
     }
 
-    /// Record a lookup outcome against `stage` without touching any slot.
-    /// Used for stages whose artifact rides along with another stage's
-    /// slot (the lowered IR is cached inside the frontend artifact).
-    pub fn record(&self, stage: &'static str, lookup: Lookup) {
-        let stats = self.stat_cell(stage);
-        if lookup.hit {
-            stats.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        if lookup.waited {
-            stats.waits.fetch_add(1, Ordering::Relaxed);
-            stats.wait_ns.fetch_add(lookup.wait_ns, Ordering::Relaxed);
-        }
-    }
-
     /// Poison the slot's mutex (chaos hook): spawns a thread that panics
     /// while holding the state lock. Later accessors recover the lock via
     /// `PoisonError::into_inner` and proceed — the entry stays usable.
@@ -440,16 +424,6 @@ mod tests {
         let (v, l) = store.get_or_compute::<u16, _>("frontend", key, || unreachable!());
         assert_eq!(v, 3u16);
         assert!(l.hit);
-    }
-
-    #[test]
-    fn record_feeds_stats_without_a_slot() {
-        let store = Store::new();
-        store.record("lower", Lookup { hit: true, waited: false, wait_ns: 0 });
-        store.record("lower", Lookup { hit: false, waited: true, wait_ns: 5 });
-        let s = store.stage_stats("lower");
-        assert_eq!((s.hits, s.misses, s.waits, s.wait_ns), (1, 1, 1, 5));
-        assert_eq!(store.len("lower"), 0);
     }
 
     /// Satellite regression: a capped store fed more bytes than the cap

@@ -44,7 +44,7 @@ InstructionSet xpopcount extends RV32I {
 "#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut ln = Longnail::new();
+    let ln = Longnail::new();
     let ds = builtin_datasheet("Piccolo").expect("bundled core");
 
     // Compile and show what came out.
@@ -63,8 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Assemble a test program using the new mnemonic.
-    let module = ln
-        .frontend_mut()
+    let module = coredsl::Frontend::new()
         .compile_str(POPCOUNT, "xpopcount")
         .map_err(|e| e.to_string())?;
     let mut asm = Assembler::new();

@@ -18,14 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = 0x1000u32;
 
     // Compile both ISAXes for VexRiscv and register their mnemonics.
-    let mut ln = Longnail::new();
+    let ln = Longnail::new();
     let ds = builtin_datasheet("VexRiscv").expect("bundled core");
     let mut asm = Assembler::new();
     let mut compiled = Vec::new();
     for name in ["autoinc", "zol"] {
         let (unit, src) = isax_lib::isax_source(name).expect("bundled ISAX");
-        let module = ln
-            .frontend_mut()
+        let module = coredsl::Frontend::new()
             .compile_str(&src, &unit)
             .map_err(|e| e.to_string())?;
         isax_lib::register_mnemonics(&mut asm, &module)?;

@@ -11,15 +11,14 @@ use proptest::prelude::*;
 use riscv::asm::Assembler;
 
 fn machines(core: &str, names: &[&str]) -> (ExtendedCore, GoldenMachine, Assembler) {
-    let mut ln = Longnail::new();
+    let ln = Longnail::new();
     let ds = builtin_datasheet(core).unwrap();
     let mut asm = Assembler::new();
     let mut compiled = Vec::new();
     let mut modules = Vec::new();
     for name in names {
         let (unit, src) = isax_lib::isax_source(name).unwrap();
-        let module = ln
-            .frontend_mut()
+        let module = coredsl::Frontend::new()
             .compile_str(&src, &unit)
             .map_err(|e| e.to_string())
             .unwrap();
@@ -122,9 +121,7 @@ fn decoupled_without_hazard_handling_is_faster_but_wrong() {
         let (unit, src) = isax_lib::isax_source("sqrt_decoupled").unwrap();
         let compiled = ln.compile(&src, &unit, &ds).unwrap();
         let mut asm = Assembler::new();
-        let mut ln2 = Longnail::new();
-        let module = ln2
-            .frontend_mut()
+        let module = coredsl::Frontend::new()
             .compile_str(&src, &unit)
             .map_err(|e| e.to_string())
             .unwrap();
