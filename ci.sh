@@ -58,8 +58,9 @@ else
     echo "== clippy not installed; skipping lint step"
 fi
 
-echo "== cargo doc: no intra-doc link points at a missing or ambiguous item"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+echo "== cargo doc: no intra-doc link points at a missing, ambiguous or private item"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline
 
 echo "== smoke: lnc --report on a builtin ISAX"
 smoke_dir=$(mktemp -d)

@@ -12,11 +12,15 @@
 //!   profile of a cold → warm no-change → warm one-edit recompile
 //!   sequence through one shared pipeline cache, and the `opt` profile of
 //!   a full -O2 matrix (per-pass rewrite totals plus modeled area and
-//!   critical path against -O0, with the strict area win asserted).
-//!   Byte-identical on every run of the same code.
+//!   critical path against -O0, with the strict area win asserted), and
+//!   `sim_cycles`, the cycles the xcheck oracle simulates over the -O0
+//!   matrix. Byte-identical on every run of the same code.
 //! * `wall` — wall-clock timings and the cache/pool/incremental
 //!   speedups, with the machine's available parallelism (`cpus`) and the
-//!   parallel runs' worker count (`workers`) needed to read them.
+//!   parallel runs' worker count (`workers`) needed to read them; the
+//!   -O2 matrix (`o2_wall_ns`, and `o2_over_o0` against the -O0
+//!   `parallel_wall_ns` run with the same workers) and the serial xcheck
+//!   of the -O0 matrix (`xcheck_wall_ns`).
 //!   Machine- and load-dependent, informational only (except
 //!   the warm no-change replay, which ci.sh requires to be at least 4×
 //!   faster than the cold compile — a regression there means the warm
@@ -139,9 +143,22 @@ fn bench_json() -> String {
     // block. The strict area win is also asserted outright: -O2 exists to
     // shrink the matrix, and a build where it stops doing so is a
     // regression even if every counter still matches some stale baseline.
+    let t0 = Instant::now();
     let o2 =
         ln.with_opt_level(longnail::OptLevel::O2)
             .compile_cells(&cells, WORKERS, &PipelineCache::new());
+    let o2_ns = elapsed_ns(t0);
+
+    // The xcheck oracle over the serial -O0 matrix: its simulated cycles
+    // are deterministic, its wall time is not.
+    let t0 = Instant::now();
+    let mut sim_cycles = 0u64;
+    for (entry, compiled) in serial.compiled() {
+        let report = longnail::xcheck_compiled(compiled);
+        assert!(report.is_clean(), "xcheck {}_{}: {}", entry.isax, entry.core, report.summary());
+        sim_cycles += report.units.iter().map(|u| u.cycles).sum::<u64>();
+    }
+    let xcheck_ns = elapsed_ns(t0);
     let lib = eda::TechLibrary::new();
     let estimate = |m: &MatrixResult| {
         let (mut area, mut crit) = (0.0f64, 0.0f64);
@@ -189,6 +206,7 @@ fn bench_json() -> String {
     let _ = writeln!(json, "    \"cache_misses\": {},", frontend.misses);
     let _ = writeln!(json, "    \"cell_faults\": {},", serial.cell_faults);
     let _ = writeln!(json, "    \"errors_recovered\": {},", serial.errors_recovered);
+    let _ = writeln!(json, "    \"sim_cycles\": {sim_cycles},");
     json.push_str("    \"counters\": {\n");
     for (i, (name, value)) in summary.counters.iter().enumerate() {
         let _ = write!(json, "      \"{name}\": {value}");
@@ -247,6 +265,7 @@ fn bench_json() -> String {
     let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;
     let warm_speedup = cold_ns as f64 / warm_ns.max(1) as f64;
     let edit_speedup = cold_ns as f64 / edit_ns.max(1) as f64;
+    let o2_over_o0 = o2_ns as f64 / parallel_ns.max(1) as f64;
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = write!(
         json,
@@ -254,7 +273,9 @@ fn bench_json() -> String {
          \"serial_wall_ns\": {serial_ns}, \"parallel_wall_ns\": {parallel_ns}, \
          \"speedup\": {speedup:.3},\n           \"cold_wall_ns\": {cold_ns}, \
          \"warm_wall_ns\": {warm_ns}, \"warm_speedup\": {warm_speedup:.3},\n           \
-         \"edit_wall_ns\": {edit_ns}, \"edit_speedup\": {edit_speedup:.3}}}\n}}\n"
+         \"edit_wall_ns\": {edit_ns}, \"edit_speedup\": {edit_speedup:.3},\n           \
+         \"o2_wall_ns\": {o2_ns}, \"o2_over_o0\": {o2_over_o0:.3}, \
+         \"xcheck_wall_ns\": {xcheck_ns}}}\n}}\n"
     );
     json
 }

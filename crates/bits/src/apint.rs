@@ -67,6 +67,16 @@ impl ApInt {
         v
     }
 
+    /// Creates an `ApInt` of `width` bits from little-endian 64-bit limbs.
+    /// Missing limbs read zero; limbs and bits past `width` are dropped.
+    pub fn from_limbs(limbs: &[u64], width: u32) -> Self {
+        let mut v = Self::zero(width);
+        let n = v.limbs.len().min(limbs.len());
+        v.limbs[..n].copy_from_slice(&limbs[..n]);
+        v.canonicalize();
+        v
+    }
+
     /// Creates an `ApInt` from `value`, sign-extended or truncated to `width`.
     pub fn from_i64(value: i64, width: u32) -> Self {
         let mut v = Self::zero(width);

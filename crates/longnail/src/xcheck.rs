@@ -23,11 +23,10 @@
 //! implements exactly the semantics the compiler verified against the
 //! golden model (paper §5.3).
 
-use crate::driver::CompiledIsax;
-use bits::ApInt;
+use crate::driver::{CompiledGraph, CompiledIsax};
 use rtl::xsim::DiffSim;
-use rtl::{lint_x_hazards, EmitOptions, IfaceSignal, PortDir};
-use std::collections::HashMap;
+use rtl::{lint_x_hazards, EmitOptions, IfaceSignal, NetTape, PortDir};
+use std::sync::Arc;
 use telemetry::{metrics, Telemetry, Trace};
 
 /// Tunables for one differential check.
@@ -161,10 +160,6 @@ fn pat(t: u64) -> u64 {
     PATTERNS[(t % PATTERNS.len() as u64) as usize]
 }
 
-fn apint(v: u64, width: u32) -> ApInt {
-    ApInt::from_u64(v, 64).zext_or_trunc(width)
-}
-
 /// Runs the differential check over every unit of `isax` with defaults.
 pub fn xcheck_compiled(isax: &CompiledIsax) -> XCheckReport {
     xcheck_compiled_with(isax, &XCheckOptions::default())
@@ -184,21 +179,22 @@ pub fn xcheck_compiled_with(isax: &CompiledIsax, opts: &XCheckOptions) -> XCheck
             .map(|i| i.to_string())
             .collect();
 
-        let mut diff = DiffSim::with_options(g.built.module.clone(), opts.emit);
+        let tape = Arc::new(NetTape::new(g.built.module.clone()));
+        let stimulus = Stimulus::bind(g, &tape);
+        let mut diff = DiffSim::from_tape(tape, opts.emit);
         let mut mismatches = Vec::new();
         let mut x_output_bits = 0u64;
         let mut cycles = 0u64;
         for t in 0..opts.cycles {
-            let inputs = stimulus(g, t);
-            match diff.step(&inputs) {
+            stimulus.drive(&mut diff, t);
+            cycles = t + 1;
+            match diff.advance() {
                 Ok(stats) => x_output_bits += stats.output_x_bits,
                 Err(mm) => {
                     mismatches.push(mm.to_string());
-                    cycles = t + 1;
                     break;
                 }
             }
-            cycles = t + 1;
         }
 
         tel.counter(span, metrics::XCHECK_CYCLES, cycles);
@@ -226,37 +222,67 @@ pub fn xcheck_compiled_with(isax: &CompiledIsax, opts: &XCheckOptions) -> XCheck
     }
 }
 
-/// Builds cycle `t`'s fully-known input map for a unit: every input port
-/// of the built module is driven, so no X can enter from outside and any
-/// X observed is manufactured by the netlist itself.
-fn stimulus(g: &crate::driver::CompiledGraph, t: u64) -> HashMap<String, ApInt> {
-    let mut inputs = HashMap::new();
-    // clk/rst are structural (registers are modelled directly); hold rst
-    // low so the oracle's one-time reset stays in effect.
-    inputs.insert("clk".to_string(), ApInt::zero(1));
-    inputs.insert("rst".to_string(), ApInt::zero(1));
-    for b in &g.built.bindings {
-        if b.dir != PortDir::Input {
-            continue;
+/// A unit's stimulus, bound to its module's input ports once. Every input
+/// port of the built module that a binding names is driven each cycle, so
+/// no X can enter from outside and any X observed is manufactured by the
+/// netlist itself.
+struct Stimulus<'g> {
+    g: &'g CompiledGraph,
+    /// `(port, signal, width)` per input binding, in binding order.
+    inputs: Vec<(usize, &'g IfaceSignal, u32)>,
+    /// `clk` and `rst`, held low.
+    structural: Vec<usize>,
+}
+
+impl<'g> Stimulus<'g> {
+    fn bind(g: &'g CompiledGraph, tape: &NetTape) -> Stimulus<'g> {
+        let inputs = g
+            .built
+            .bindings
+            .iter()
+            .filter(|b| b.dir == PortDir::Input)
+            .filter_map(|b| Some((tape.input_port(&b.name)?, &b.signal, b.width)))
+            .collect();
+        // clk/rst are structural (registers are modelled directly); hold
+        // rst low so the oracle's one-time reset stays in effect.
+        let structural = ["clk", "rst"]
+            .iter()
+            .filter_map(|name| tape.input_port(name))
+            .collect();
+        Stimulus {
+            g,
+            inputs,
+            structural,
         }
-        let v = match &b.signal {
-            // A word that actually decodes as this instruction, with the
-            // don't-care bits cycling through the patterns.
-            IfaceSignal::InstrWord => {
-                u64::from(g.match_value) | (pat(t) & !u64::from(g.mask))
-            }
-            IfaceSignal::Rs1Data => pat(t),
-            // Offset so zero/one divisors meet interesting dividends.
-            IfaceSignal::Rs2Data => pat(t + 3),
-            IfaceSignal::PcData => 0x100 + 4 * t,
-            IfaceSignal::MemRdData => pat(t + 1),
-            IfaceSignal::CustRdData(_) => pat(t + 5),
-            // An occasional stall exercises the register-enable paths.
-            IfaceSignal::StallIn => u64::from(t % 7 == 5),
-            // Remaining inputs (if any) held low.
-            _ => 0,
-        };
-        inputs.insert(b.name.clone(), apint(v, b.width));
     }
-    inputs
+
+    /// Drives cycle `t`'s inputs (bindings after `clk`/`rst`, so a binding
+    /// of the same port wins).
+    fn drive(&self, diff: &mut DiffSim, t: u64) {
+        for &port in &self.structural {
+            diff.set_input(port, &[0]);
+        }
+        let g = self.g;
+        for &(port, signal, width) in &self.inputs {
+            let v = match signal {
+                // A word that actually decodes as this instruction, with the
+                // don't-care bits cycling through the patterns.
+                IfaceSignal::InstrWord => {
+                    u64::from(g.match_value) | (pat(t) & !u64::from(g.mask))
+                }
+                IfaceSignal::Rs1Data => pat(t),
+                // Offset so zero/one divisors meet interesting dividends.
+                IfaceSignal::Rs2Data => pat(t + 3),
+                IfaceSignal::PcData => 0x100 + 4 * t,
+                IfaceSignal::MemRdData => pat(t + 1),
+                IfaceSignal::CustRdData(_) => pat(t + 5),
+                // An occasional stall exercises the register-enable paths.
+                IfaceSignal::StallIn => u64::from(t % 7 == 5),
+                // Remaining inputs (if any) held low.
+                _ => 0,
+            };
+            let mask = if width >= 64 { u64::MAX } else { (1 << width) - 1 };
+            diff.set_input(port, &[v & mask]);
+        }
+    }
 }

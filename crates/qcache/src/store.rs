@@ -84,11 +84,14 @@ enum SlotState {
 struct Slot {
     state: Mutex<SlotState>,
     cv: Condvar,
+    /// The stage's counters, fetched once when the slot is created so a
+    /// lookup never takes the store-wide `stats` lock.
+    stats: Arc<StatCell>,
 }
 
 impl Slot {
-    fn new() -> Self {
-        Slot { state: Mutex::new(SlotState::Vacant), cv: Condvar::new() }
+    fn new(stats: Arc<StatCell>) -> Self {
+        Slot { state: Mutex::new(SlotState::Vacant), cv: Condvar::new(), stats }
     }
 }
 
@@ -162,7 +165,10 @@ impl Store {
 
     fn slot(&self, stage: &'static str, key: Digest) -> Arc<Slot> {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(slots.entry((stage, key)).or_insert_with(|| Arc::new(Slot::new())))
+        let slot = slots
+            .entry((stage, key))
+            .or_insert_with(|| Arc::new(Slot::new(self.stat_cell(stage))));
+        Arc::clone(slot)
     }
 
     fn stat_cell(&self, stage: &'static str) -> Arc<StatCell> {
@@ -181,7 +187,7 @@ impl Store {
         F: FnOnce() -> T,
     {
         let slot = self.slot(stage, key);
-        let stats = self.stat_cell(stage);
+        let stats = &slot.stats;
         let mut lookup = Lookup::default();
         let mut st = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
@@ -274,11 +280,12 @@ impl Store {
             let (size, _) = lru.entries.remove(&victim).expect("victim came from the map");
             lru.total -= size;
             let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-            slots.remove(&victim);
+            let stats = match slots.remove(&victim) {
+                Some(slot) => Arc::clone(&slot.stats),
+                None => self.stat_cell(victim.0),
+            };
             drop(slots);
-            self.stat_cell(victim.0)
-                .evictions
-                .fetch_add(1, Ordering::Relaxed);
+            stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -485,6 +492,57 @@ mod tests {
         store.set_capacity(Some(10 << 20));
         assert!(store.tracked_bytes() <= 10 << 20);
         assert_eq!(store.stage_stats("modes").evictions, 90);
+    }
+
+    /// Per-stage counters live with each slot: a warm run split across two
+    /// threads counts exactly what the same lookups count serially.
+    #[test]
+    fn two_thread_warm_run_counts_like_a_serial_run() {
+        const STAGES: [&str; 3] = ["problem", "solve", "rtl"];
+        let key = |stage: &str, i: u64| digest(format!("{stage}/{i}").as_bytes());
+        // Cold, serial: 36 sized entries of 8 bytes against a 24-entry cap
+        // evict the 12 oldest (all of `problem`); `verilog` is unsized.
+        let cold = |store: &Store| {
+            for stage in STAGES {
+                for i in 0..12u64 {
+                    store.get_or_compute_sized(stage, key(stage, i), || i, |_| 8);
+                }
+            }
+            for i in 0..12u64 {
+                store.get_or_compute("verilog", key("verilog", i), || i);
+            }
+        };
+        // Warm: every surviving key, each lookup a hit.
+        let warm_keys: Vec<(&'static str, u64)> = ["solve", "rtl", "verilog"]
+            .iter()
+            .flat_map(|&stage| (0..12u64).map(move |i| (stage, i)))
+            .collect();
+        let lookup = |store: &Store, (stage, i): (&'static str, u64)| {
+            let (v, l) = if stage == "verilog" {
+                store.get_or_compute::<u64, _>(stage, key(stage, i), || unreachable!())
+            } else {
+                store.get_or_compute_sized::<u64, _, _>(stage, key(stage, i), || unreachable!(), |_| 8)
+            };
+            assert!(l.hit && v == i, "{stage}/{i}");
+        };
+        let serial = Store::with_capacity(24 * 8);
+        cold(&serial);
+        for &k in &warm_keys {
+            lookup(&serial, k);
+        }
+        let parallel = Store::with_capacity(24 * 8);
+        cold(&parallel);
+        std::thread::scope(|s| {
+            for half in warm_keys.chunks(warm_keys.len() / 2) {
+                let parallel = &parallel;
+                s.spawn(move || half.iter().for_each(|&k| lookup(parallel, k)));
+            }
+        });
+        assert_eq!(parallel.all_stats(), serial.all_stats());
+        let problem = serial.stage_stats("problem");
+        assert_eq!((problem.misses, problem.hits, problem.evictions), (12, 0, 12));
+        let rtl = serial.stage_stats("rtl");
+        assert_eq!((rtl.misses, rtl.hits, rtl.waits, rtl.evictions), (12, 12, 0, 0));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Constant folding and propagation.
 //!
 //! One forward sweep: every combinational net whose operands are all
-//! constants is evaluated with the interpreter's semantics and replaced by
-//! `Driver::Const`; constant-index ROM reads become the table word; and a
-//! catalog of algebraic identities either aliases the net to an existing
-//! operand (`x + 0`, `x & x`, `Mux(1, t, e)`, double negation,
-//! extend/truncate chains) or simplifies its driver in place. Aliases only
-//! ever point backward, so topological order is preserved; dead originals
-//! are swept by DCE.
+//! constants is evaluated with the interpreter's word-level two-valued
+//! table and replaced by `Driver::Const`; constant-index ROM reads become
+//! the table word; and a catalog of algebraic identities either aliases
+//! the net to an existing operand (`x + 0`, `x & x`, `Mux(1, t, e)`,
+//! double negation, extend/truncate chains) or simplifies its driver in
+//! place. Aliases only ever point backward, so topological order is
+//! preserved; dead originals are swept by DCE.
 //!
 //! Four-state discipline: every rewrite here either keeps the xsim
 //! knownness of the net exactly (identities whose dropped operand is a
@@ -17,7 +17,7 @@
 //! simulator compute the same function for every lint-clean operator.
 
 use super::{as_const, Replacements};
-use crate::interp::eval_comb;
+use crate::interp::eval_const;
 use crate::netlist::{CombOp, Driver, Module, NetId};
 use bits::ApInt;
 
@@ -94,7 +94,7 @@ fn analyze_comb(m: &Module, op: CombOp, args: &[NetId], lo: u32, width: u32) -> 
     if !consts.is_empty() && consts.iter().all(Option::is_some) && width > 0 {
         let cargs: Vec<&ApInt> = consts.iter().map(|c| c.unwrap()).collect();
         if fold_is_safe(op, &cargs, lo, width) {
-            return const_of(width, eval_comb(op, |k| cargs[k], lo, width));
+            return const_of(width, eval_const(op, &cargs, lo, width));
         }
     }
     let c = |k: usize| consts.get(k).copied().flatten();

@@ -1,21 +1,24 @@
 //! Oracle-gated netlist optimization (ROADMAP: "An oracle-backed netlist
 //! optimization pipeline").
 //!
-//! A small pass manager drives five rewrites over [`Module`] to a fixpoint:
+//! A small pass manager drives five rewrites over [`Module`] to a fixpoint
+//! (each runnable alone through [`run_pass`] with its [`Pass`]):
 //!
-//! * [`fold`] — constant folding and propagation through every [`CombOp`](crate::netlist::CombOp),
-//!   plus algebraic identities (`x+0`, `x&x`, double negation, extend/trunc
-//!   chains, constant-index ROM reads),
-//! * [`cse`] — common-subexpression elimination over hash-consed
+//! * `fold` — constant folding and propagation through every
+//!   [`CombOp`](crate::netlist::CombOp) with the interpreter's word-level
+//!   two-valued table, plus algebraic identities (`x+0`, `x&x`, double
+//!   negation, extend/trunc chains, constant-index ROM reads),
+//! * `cse` — common-subexpression elimination over hash-consed
 //!   `Driver::Comb`/`Driver::Const`/`Driver::Rom` keys,
-//! * [`mux`] — mux-tree flattening (same-condition nesting, identical arms,
+//! * `mux` — mux-tree flattening (same-condition nesting, identical arms,
 //!   inverted selects, 1-bit select muxes),
-//! * [`strength`] — strength reduction of `Mul`/`DivU`/`RemU` by powers of
+//! * `strength` — strength reduction of `Mul`/`DivU`/`RemU` by powers of
 //!   two into free-wiring shifts, masks, and extracts,
-//! * [`narrow`] — bitwidth narrowing driven by the value/known planes of
-//!   [`crate::xsim`]: an abstract evaluation with all-X inputs/registers
-//!   proves upper bits dead, ops are re-emitted at their live width and
-//!   users patched with `ZExt` (`-O2` only).
+//! * `narrow` — bitwidth narrowing driven by the value/known planes of
+//!   [`crate::xsim`]: one four-state pass over the module's
+//!   [`NetTape`] with all inputs and registers X proves upper bits dead,
+//!   ops are re-emitted at their live width and users patched with `ZExt`
+//!   (`-O2` only).
 //!
 //! Every pass preserves the two-valued [`crate::interp`] semantics of the
 //! output ports exactly, and may only *refine* the four-state
@@ -23,16 +26,17 @@
 //! changes value or becomes X). The pass manager re-validates the netlist
 //! after every pass and the pipeline gates the result three ways: the
 //! structural lint must stay clean, [`verify_equivalent`] runs the
-//! original and optimized modules in lockstep (including X stimulus), and
-//! the full matrix re-checks under `lnc --xcheck`.
+//! original and optimized modules' tapes in lockstep (including X
+//! stimulus), and the full matrix re-checks under `lnc --xcheck`.
 
 use crate::interp::Simulator;
-use crate::netlist::{Driver, Module, NetId};
+use crate::netlist::{Driver, Module, NetId, PortDir};
+use crate::sim::{self, NetTape, Slot};
 use crate::verilog::EmitOptions;
 use crate::xsim::{XVal, Xsim};
 use bits::ApInt;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 mod cse;
 mod fold;
@@ -420,18 +424,48 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn rand_apint(state: &mut u64, width: u32) -> ApInt {
-    let mut v = ApInt::zero(width);
-    let mut pos = 0;
-    while pos < width {
-        let word = splitmix64(state);
-        let take = (width - pos).min(64);
-        for j in 0..take {
-            v.set_bit(pos + j, (word >> j) & 1 == 1);
+/// Fills `out` with a pseudo-random `width`-bit value: one draw per
+/// 64-bit word, low word first.
+fn rand_words(state: &mut u64, width: u32, out: &mut Vec<u64>) {
+    out.clear();
+    out.extend((0..sim::words(width)).map(|_| splitmix64(state)));
+    sim::mask_top(out, width);
+}
+
+/// One module of the gate: its tape's two interpreters, and for each of
+/// the original module's input ports the matching port here (by name).
+struct GateSide {
+    interp: Simulator,
+    xsim: Xsim,
+    inputs: Vec<Option<usize>>,
+}
+
+impl GateSide {
+    fn new(module: &Module, original: &Module, opts: &EmitOptions) -> GateSide {
+        let tape = Arc::new(NetTape::new(module.clone()));
+        let inputs = original
+            .ports
+            .iter()
+            .map(|p| (p.dir == PortDir::Input).then(|| tape.input_port(&p.name)).flatten())
+            .collect();
+        let mut xsim = Xsim::from_tape(Arc::clone(&tape), *opts);
+        xsim.reset();
+        GateSide {
+            interp: Simulator::from_tape(tape),
+            xsim,
+            inputs,
         }
-        pos += take;
     }
-    v
+
+    /// The output port named `name`'s slot.
+    fn output(&self, name: &str) -> Option<Slot> {
+        let tape = self.interp.tape();
+        let ports = &tape.module().ports;
+        tape.outputs()
+            .iter()
+            .find(|&&(port, _)| ports[port].name == name)
+            .map(|&(_, slot)| slot)
+    }
 }
 
 /// The runtime half of the oracle gate: drives the original and optimized
@@ -445,6 +479,9 @@ fn rand_apint(state: &mut u64, width: u32) -> ApInt {
 ///    the same value in the optimized module (optimization may remove X,
 ///    never introduce or change it).
 ///
+/// Each module is compiled to one [`NetTape`] that both of its
+/// interpreters share; stimulus is written straight into the input slots.
+///
 /// # Errors
 ///
 /// A description of the first divergence.
@@ -454,65 +491,77 @@ pub fn verify_equivalent(
     opts: &EmitOptions,
     cycles: u32,
 ) -> Result<(), String> {
-    let mut interp_a = Simulator::new(original.clone());
-    let mut interp_b = Simulator::new(optimized.clone());
-    let mut xsim_a = Xsim::with_options(original.clone(), *opts);
-    let mut xsim_b = Xsim::with_options(optimized.clone(), *opts);
-    xsim_a.reset();
-    xsim_b.reset();
+    let mut a = GateSide::new(original, original, opts);
+    let mut b = GateSide::new(optimized, original, opts);
+    // Outputs are compared by name, in the original's port order.
+    let mut outputs = Vec::new();
+    for &(port, slot_a) in a.interp.tape().outputs() {
+        let name = &original.ports[port].name;
+        let slot_b = b.output(name);
+        outputs.push((name.as_str(), slot_a, slot_b));
+    }
     let mut state = 0x6c6e_6770_7470_0001u64 ^ u64::from(cycles);
+    let (mut value, mut mask) = (Vec::new(), Vec::new());
     for cycle in 0..cycles {
-        let mut known = HashMap::new();
-        let mut fourstate = HashMap::new();
-        for port in &original.ports {
-            if port.dir != crate::netlist::PortDir::Input {
+        for (i, port) in original.ports.iter().enumerate() {
+            if port.dir != PortDir::Input {
                 continue;
             }
-            let value = rand_apint(&mut state, port.width);
-            known.insert(port.name.clone(), value.clone());
+            rand_words(&mut state, port.width, &mut value);
             // Every third cycle knocks a pseudo-random subset of bits to X
             // so refinement is exercised, not just the all-known case.
-            let mask = if cycle % 3 == 2 {
-                rand_apint(&mut state, port.width)
+            if cycle % 3 == 2 {
+                rand_words(&mut state, port.width, &mut mask);
             } else {
-                ApInt::ones(port.width)
-            };
-            fourstate.insert(
-                port.name.clone(),
-                XVal::from_planes(value.and(&mask), mask),
-            );
+                mask.clear();
+                mask.resize(sim::words(port.width), u64::MAX);
+                sim::mask_top(&mut mask, port.width);
+            }
+            for side in [&mut a, &mut b] {
+                if let Some(p) = side.inputs[i] {
+                    side.interp.set_input(p, &value);
+                    side.xsim.set_input(p, &value, &mask);
+                }
+            }
         }
-        let out_a = interp_a.step(&known);
-        let out_b = interp_b.step(&known);
-        for (name, va) in &out_a {
-            let vb = out_b
-                .get(name)
-                .ok_or_else(|| format!("output `{name}` missing from optimized module"))?;
-            if va != vb {
+        a.interp.evaluate();
+        b.interp.evaluate();
+        for &(name, sa, sb) in &outputs {
+            let sb = sb.ok_or_else(|| format!("output `{name}` missing from optimized module"))?;
+            let (va, vb) = (a.interp.slot_words(sa), b.interp.slot_words(sb));
+            if sa.width != sb.width || va != vb {
+                let va = ApInt::from_limbs(va, sa.width);
+                let vb = ApInt::from_limbs(vb, sb.width);
                 return Err(format!(
                     "cycle {cycle}: output `{name}` diverged: original={va:x} optimized={vb:x}"
                 ));
             }
         }
-        let x_a = xsim_a.eval_x(&fourstate);
-        let x_b = xsim_b.eval_x(&fourstate);
-        for (name, va) in &x_a {
-            let vb = x_b
-                .get(name)
-                .ok_or_else(|| format!("output `{name}` missing from optimized module"))?;
-            let disagree = va.value_plane().xor(vb.value_plane());
-            let bad = va
-                .known_plane()
-                .and(&vb.known_plane().not().or(&disagree));
-            if !bad.is_zero() {
+        a.interp.clock();
+        b.interp.clock();
+        a.xsim.evaluate();
+        b.xsim.evaluate();
+        for &(name, sa, sb) in &outputs {
+            let sb = sb.expect("checked on the two-valued side");
+            let ((va, ka), (vb, kb)) = (a.xsim.slot_planes(sa), b.xsim.slot_planes(sb));
+            let lost = (0..ka.len()).any(|w| {
+                let (vbw, kbw) = (vb.get(w).copied().unwrap_or(0), kb.get(w).copied().unwrap_or(0));
+                ka[w] & (!kbw | (va[w] ^ vbw)) != 0
+            });
+            if lost {
+                let planes = |v: &[u64], k: &[u64], w: u32| {
+                    XVal::from_planes(ApInt::from_limbs(v, w), ApInt::from_limbs(k, w))
+                };
                 return Err(format!(
                     "cycle {cycle}: output `{name}` lost known bits under X stimulus: \
-                     original={va} optimized={vb}"
+                     original={} optimized={}",
+                    planes(va, ka, sa.width),
+                    planes(vb, kb, sb.width)
                 ));
             }
         }
-        xsim_a.clock();
-        xsim_b.clock();
+        a.xsim.clock();
+        b.xsim.clock();
     }
     Ok(())
 }
@@ -665,6 +714,40 @@ mod tests {
         }
         let err = verify_equivalent(&m, &broken, &EmitOptions::default(), 32).unwrap_err();
         assert!(err.contains("diverged") || err.contains("lost known bits"), "{err}");
+        // Word for word what the `ApInt` walkers reported.
+        let walker =
+            crate::reference::verify_equivalent(&m, &broken, &EmitOptions::default(), 32);
+        assert_eq!(Err(err), walker);
+    }
+
+    #[test]
+    fn verify_flags_lost_known_bits_like_the_reference() {
+        // `a & 0` is known zero under X; `a ^ a` computes the same
+        // two-valued function but is X wherever `a` is.
+        let build = |op| {
+            let mut m = Module::new("t");
+            let a = m.add_port("a", PortDir::Input, 70);
+            let o = m.add_port("o", PortDir::Output, 70);
+            let na = m.add_net(Driver::Input { port: a }, 70, "a");
+            let zero = m.add_net(Driver::Const(ApInt::zero(70)), 70, "zero");
+            let rhs = if op == CombOp::And { zero } else { na };
+            let r = m.add_net(
+                Driver::Comb {
+                    op,
+                    args: vec![na, rhs],
+                    lo: 0,
+                },
+                70,
+                "r",
+            );
+            m.connect_output(o, r);
+            m
+        };
+        let (m, lossy) = (build(CombOp::And), build(CombOp::Xor));
+        let opts = EmitOptions::default();
+        let err = verify_equivalent(&m, &lossy, &opts, 8).unwrap_err();
+        assert!(err.starts_with("cycle 2: output `o` lost known bits"), "{err}");
+        assert_eq!(Err(err), crate::reference::verify_equivalent(&m, &lossy, &opts, 8));
     }
 
     #[test]

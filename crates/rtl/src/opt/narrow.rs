@@ -1,12 +1,13 @@
 //! Bitwidth narrowing driven by the value/known planes of [`crate::xsim`].
 //!
 //! The pass abstractly evaluates the module once with every input,
-//! register, and dynamic ROM read held all-X and constants fully known,
-//! using the exact four-state operator semantics of the simulator. Every
-//! operator is monotone under refinement (turning an input X bit into a
-//! value never changes an already-known output bit), so any bit that
-//! comes out *known* in this evaluation holds that value under every
-//! concrete stimulus and register state. Three rewrites follow:
+//! register, and dynamic ROM read held all-X and constants fully known:
+//! one [`Xsim`] pass over the module's tape, with the exact four-state
+//! operator semantics of the simulator. Every operator is monotone under
+//! refinement (turning an input X bit into a value never changes an
+//! already-known output bit), so any bit that comes out *known* in this
+//! evaluation holds that value under every concrete stimulus and register
+//! state. Three rewrites follow:
 //!
 //! * a combinational or ROM net whose abstract value is fully known is a
 //!   constant,
@@ -24,46 +25,38 @@
 
 use super::as_const;
 use crate::netlist::{CombOp, Driver, Module, Net, NetId};
+use crate::sim::{self, NetTape};
 use crate::verilog::EmitOptions;
-use crate::xsim::{eval_comb, XVal};
+use crate::xsim::Xsim;
 use bits::ApInt;
+use std::sync::Arc;
 
-/// Abstract per-net values: all-X at the boundary, exact everywhere else.
-fn abstract_eval(m: &Module, opts: &EmitOptions) -> Vec<XVal> {
-    let mut vals: Vec<XVal> = Vec::with_capacity(m.nets.len());
-    for net in &m.nets {
-        let v = match &net.driver {
-            Driver::Input { .. } | Driver::Reg { .. } => XVal::all_x(net.width),
-            Driver::Const(c) => XVal::known(c.clone()),
-            Driver::Rom { rom, index } => {
-                let table = &m.roms[*rom];
-                match vals[index.0].as_known() {
-                    Some(idx) => {
-                        let word = idx
-                            .try_to_u64()
-                            .and_then(|v| usize::try_from(v).ok())
-                            .and_then(|k| table.contents.get(k))
-                            .cloned()
-                            .unwrap_or_else(|| ApInt::zero(table.width));
-                        XVal::known(word)
-                    }
-                    None => XVal::all_x(net.width),
-                }
-            }
-            Driver::Comb { op, args, lo } => {
-                eval_comb(*op, |k| &vals[args[k].0], *lo, net.width, opts)
-            }
-        };
-        vals.push(v);
-    }
-    vals
+/// Abstract per-net values: one four-state pass over the module's tape
+/// with every input and register X (never driven, never reset) and
+/// constants known.
+fn abstract_eval(m: &Module, opts: &EmitOptions) -> Xsim {
+    let mut xs = Xsim::from_tape(Arc::new(NetTape::new(m.clone())), *opts);
+    xs.evaluate();
+    xs
+}
+
+/// Net `i`'s `(value, known, width)` planes.
+fn planes(xs: &Xsim, i: usize) -> (&[u64], &[u64], u32) {
+    let slot = xs.tape().net_slot(i);
+    let (value, known) = xs.slot_planes(slot);
+    (value, known, slot.width)
+}
+
+fn fully_known(xs: &Xsim, i: usize) -> bool {
+    let (_, known, width) = planes(xs, i);
+    sim::is_ones(known, width)
 }
 
 /// Number of low bits that can carry information: width minus the run of
 /// top bits known to be zero.
-fn live_width(v: &XVal) -> u32 {
-    let mut w = v.width();
-    while w > 0 && v.known_plane().bit(w - 1) && !v.value_plane().bit(w - 1) {
+fn live_width(xs: &Xsim, i: usize) -> u32 {
+    let (value, known, mut w) = planes(xs, i);
+    while w > 0 && sim::bit(known, w - 1) && !sim::bit(value, w - 1) {
         w -= 1;
     }
     w
@@ -75,7 +68,7 @@ enum Rewrite {
     ZeroSignExtend(NetId),
 }
 
-fn analyze(m: &Module, vals: &[XVal], i: usize) -> Option<Rewrite> {
+fn analyze(m: &Module, vals: &Xsim, i: usize) -> Option<Rewrite> {
     let net = &m.nets[i];
     let w = net.width;
     if w == 0 {
@@ -83,8 +76,8 @@ fn analyze(m: &Module, vals: &[XVal], i: usize) -> Option<Rewrite> {
     }
     match &net.driver {
         Driver::Comb { op, args, .. } => {
-            if vals[i].is_fully_known() {
-                return Some(Rewrite::Const(vals[i].value_plane().clone()));
+            if fully_known(vals, i) {
+                return Some(Rewrite::Const(vals.net(i).value));
             }
             match op {
                 CombOp::Add | CombOp::Mul | CombOp::And | CombOp::Or | CombOp::Xor
@@ -94,7 +87,7 @@ fn analyze(m: &Module, vals: &[XVal], i: usize) -> Option<Rewrite> {
                     if m.nets[a.0].width != w || m.nets[b.0].width != w {
                         return None;
                     }
-                    let (ua, ub) = (live_width(&vals[a.0]), live_width(&vals[b.0]));
+                    let (ua, ub) = (live_width(vals, a.0), live_width(vals, b.0));
                     let t = match op {
                         CombOp::Add => ua.max(ub).saturating_add(1),
                         CombOp::Mul => ua.saturating_add(ub),
@@ -104,20 +97,17 @@ fn analyze(m: &Module, vals: &[XVal], i: usize) -> Option<Rewrite> {
                     (t < w).then_some(Rewrite::Narrow(*op, a, b, t))
                 }
                 CombOp::SExt if args.len() == 1 => {
-                    let src = &vals[args[0].0];
-                    let sw = src.width();
+                    let (value, known, sw) = planes(vals, args[0].0);
                     let sign_zero = sw > 0
                         && sw < w
-                        && src.known_plane().bit(sw - 1)
-                        && !src.value_plane().bit(sw - 1);
+                        && sim::bit(known, sw - 1)
+                        && !sim::bit(value, sw - 1);
                     sign_zero.then_some(Rewrite::ZeroSignExtend(args[0]))
                 }
                 _ => None,
             }
         }
-        Driver::Rom { .. } => vals[i]
-            .is_fully_known()
-            .then(|| Rewrite::Const(vals[i].value_plane().clone())),
+        Driver::Rom { .. } => fully_known(vals, i).then(|| Rewrite::Const(vals.net(i).value)),
         _ => None,
     }
 }

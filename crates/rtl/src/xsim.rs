@@ -7,10 +7,11 @@
 //! commercial simulators instead implement the IEEE-1800 semantics of the
 //! *emitted SystemVerilog*, in which division by zero, out-of-range indexed
 //! part-selects, ambiguous mux selects, and un-reset registers all produce
-//! X. [`Xsim`] models that second world: every net carries a value/known
-//! bit-pair over [`ApInt`], and every [`CombOp`] is evaluated with the
-//! semantics of the expression [`crate::verilog`] emits for it (as selected
-//! by [`EmitOptions`]).
+//! X. [`Xsim`] models that second world: it interprets the same
+//! [`NetTape`] as the two-valued simulator over two planes (value and
+//! known bits), and evaluates every [`CombOp`] with the semantics of the
+//! expression [`crate::verilog`] emits for it (as selected by
+//! [`EmitOptions`]).
 //!
 //! [`DiffSim`] drives both simulators in lockstep over the same stimulus
 //! and fails on the first cycle where a *fully-known* four-state net
@@ -20,20 +21,22 @@
 //! SystemVerilog would diverge from what `interp` (and the golden model
 //! upstream of it) promised.
 
-use crate::interp::Simulator;
-use crate::netlist::{CombOp, Driver, Module};
+use crate::interp::{self, Simulator};
+use crate::netlist::{CombOp, Driver, Module, PortDir};
+use crate::sim::{self, NetTape, Op, Slot};
 use crate::verilog::EmitOptions;
 use bits::ApInt;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A four-state vector: per bit, `known` says whether the bit is a real
 /// 0/1 (carried in `value`) or X. Invariant: `value & !known == 0` — X
 /// positions always carry a zero value bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XVal {
-    value: ApInt,
-    known: ApInt,
+    pub(crate) value: ApInt,
+    pub(crate) known: ApInt,
 }
 
 impl XVal {
@@ -41,14 +44,6 @@ impl XVal {
     pub fn known(value: ApInt) -> XVal {
         let known = ApInt::ones(value.width());
         XVal { value, known }
-    }
-
-    /// An all-X value of the given width.
-    pub fn all_x(width: u32) -> XVal {
-        XVal {
-            value: ApInt::zero(width),
-            known: ApInt::zero(width),
-        }
     }
 
     /// Builds from raw planes, forcing the invariant.
@@ -94,20 +89,6 @@ impl XVal {
         let ones: u32 = self.known.limbs().iter().map(|l| l.count_ones()).sum();
         self.width() - ones
     }
-
-    /// Pessimistic merge of two same-width candidates (the IEEE conditional
-    /// operator with an ambiguous select): bits where both sides are known
-    /// and agree survive, everything else is X.
-    pub fn merge(&self, other: &XVal) -> XVal {
-        let agree = self
-            .known
-            .and(&other.known)
-            .and(&self.value.xor(&other.value).not());
-        XVal {
-            value: self.value.and(&agree),
-            known: agree,
-        }
-    }
 }
 
 impl fmt::Display for XVal {
@@ -126,20 +107,25 @@ impl fmt::Display for XVal {
     }
 }
 
-/// The four-state netlist simulator.
+/// The four-state netlist simulator: the tape's four-state interpreter,
+/// over a value plane and a known plane with the same slot layout.
 ///
 /// Registers power up all-X, exactly like un-reset `always_ff` state in
 /// real simulation; [`Xsim::reset`] models a completed synchronous reset
-/// pulse (every register takes its `init`). Missing inputs are all-X,
-/// where the two-valued interpreter silently assumes zero.
+/// pulse (every register takes its `init`). Inputs that were never driven
+/// are all-X, where the two-valued interpreter assumes zero.
 #[derive(Debug, Clone)]
 pub struct Xsim {
-    module: Module,
+    tape: Arc<NetTape>,
     opts: EmitOptions,
-    /// Register state (indexed by net id; `None` for non-regs).
-    regs: Vec<Option<XVal>>,
-    /// Net values from the most recent evaluation.
-    values: Vec<XVal>,
+    /// The 0/1 plane (X positions read 0).
+    value: Vec<u64>,
+    /// The known plane (1 = real bit, 0 = X).
+    known: Vec<u64>,
+    /// Result buffers for multi-word instructions.
+    scratch: (Vec<u64>, Vec<u64>),
+    /// Register planes latched at the next clock edge.
+    latch: (Vec<u64>, Vec<u64>),
 }
 
 impl Xsim {
@@ -152,50 +138,176 @@ impl Xsim {
     /// Creates a simulator modelling the SystemVerilog that
     /// [`crate::verilog::emit_verilog_with`] produces under `opts`.
     pub fn with_options(module: Module, opts: EmitOptions) -> Self {
-        let regs = module
-            .nets
-            .iter()
-            .map(|n| match &n.driver {
-                Driver::Reg { .. } => Some(XVal::all_x(n.width)),
-                _ => None,
-            })
-            .collect();
-        let values = module.nets.iter().map(|n| XVal::all_x(n.width)).collect();
+        Self::from_tape(Arc::new(NetTape::new(module)), opts)
+    }
+
+    /// A simulator over an already compiled tape, registers at X.
+    pub fn from_tape(tape: Arc<NetTape>, opts: EmitOptions) -> Self {
+        let mut value = tape.image.clone();
+        value[tape.reg_block.clone()].fill(0);
+        let known = tape.known_image.clone();
+        let regs = tape.reg_block.len();
         Xsim {
-            module,
+            tape,
             opts,
-            regs,
-            values,
+            value,
+            known,
+            scratch: (Vec::new(), Vec::new()),
+            latch: (vec![0; regs], vec![0; regs]),
         }
     }
 
     /// The simulated module.
     pub fn module(&self) -> &Module {
-        &self.module
+        self.tape.module()
+    }
+
+    /// The compiled tape.
+    pub(crate) fn tape(&self) -> &Arc<NetTape> {
+        &self.tape
     }
 
     /// Models a completed synchronous reset: every register holds its
     /// `init` value, fully known.
     pub fn reset(&mut self) {
-        for (i, net) in self.module.nets.iter().enumerate() {
-            if let Driver::Reg { init, .. } = &net.driver {
-                self.regs[i] = Some(XVal::known(init.clone()));
+        let block = self.tape.reg_block.clone();
+        self.value[block.clone()].copy_from_slice(&self.tape.image[block.clone()]);
+        self.known[block].copy_from_slice(&self.tape.reg_ones);
+    }
+
+    /// The most recent value of net `i`.
+    pub fn net(&self, i: usize) -> XVal {
+        let slot = self.tape.net_slot(i);
+        let (value, known) = self.slot_planes(slot);
+        XVal {
+            value: ApInt::from_limbs(value, slot.width),
+            known: ApInt::from_limbs(known, slot.width),
+        }
+    }
+
+    /// The `(value, known)` words in `slot`.
+    pub(crate) fn slot_planes(&self, slot: Slot) -> (&[u64], &[u64]) {
+        (&self.value[slot.range()], &self.known[slot.range()])
+    }
+
+    /// Drives input port `port` with the planes `value`/`known` (each
+    /// zero-extended or truncated to the port width, so bits above a
+    /// narrower `known` are X). The value holds until driven again.
+    pub fn set_input(&mut self, port: usize, value: &[u64], known: &[u64]) {
+        if let Some(slot) = self.tape.port_slot(port) {
+            let (v, k) = (&mut self.value[slot.range()], &mut self.known[slot.range()]);
+            sim::write_resized(v, value, slot.width);
+            sim::write_resized(k, known, slot.width);
+            for (v, k) in v.iter_mut().zip(k.iter()) {
+                *v &= k;
             }
         }
     }
 
-    /// The most recent value of net `i`.
-    pub fn net(&self, i: usize) -> &XVal {
-        &self.values[i]
+    /// Drives input port `port` with a fully-known `value`.
+    pub fn set_input_known(&mut self, port: usize, value: &[u64]) {
+        if let Some(slot) = self.tape.port_slot(port) {
+            sim::write_resized(&mut self.value[slot.range()], value, slot.width);
+            sim::fill_ones(&mut self.known[slot.range()], slot.width);
+        }
     }
 
-    /// All net values from the most recent evaluation.
-    pub fn net_values(&self) -> &[XVal] {
-        &self.values
+    /// Evaluates the combinational fabric for the current inputs. Does
+    /// **not** clock the registers.
+    pub fn evaluate(&mut self) {
+        let tape = &*self.tape;
+        let opts = &self.opts;
+        let (value, known) = (&mut self.value, &mut self.known);
+        for ins in &tape.code {
+            let [a, b, c] = ins.args;
+            if ins.wide {
+                let (ov, ok) = &mut self.scratch;
+                for buf in [&mut *ov, &mut *ok] {
+                    buf.clear();
+                    buf.resize(ins.dst.words(), 0);
+                }
+                let arg = |s: Slot| (&value[s.range()], &known[s.range()], s.width);
+                match ins.op {
+                    Op::Comb(op) => eval_wide(
+                        op,
+                        (ov, ok),
+                        ins.dst.width,
+                        arg(a),
+                        arg(b),
+                        arg(c),
+                        ins.lo,
+                        opts,
+                    ),
+                    Op::Rom(r) => {
+                        if sim::is_ones(&known[a.range()], a.width) {
+                            interp::rom_read(&tape.roms[r], &value[a.range()], ov);
+                            sim::fill_ones(ok, ins.dst.width);
+                        }
+                    }
+                }
+                value[ins.dst.range()].copy_from_slice(ov);
+                known[ins.dst.range()].copy_from_slice(ok);
+                continue;
+            }
+            let x = |s: Slot| (value[s.off as usize], known[s.off as usize], s.width);
+            let (v, k) = match ins.op {
+                Op::Comb(op) => eval_word(op, x(a), x(b), x(c), ins.lo, ins.dst.width, opts),
+                Op::Rom(r) => match x(a) {
+                    (idx, k, w) if k == sim::mask(w) => {
+                        let table = &tape.roms[r];
+                        (
+                            table.entry(&[idx]).map_or(0, |e| e[0]),
+                            sim::mask(table.width),
+                        )
+                    }
+                    _ => (0, 0),
+                },
+            };
+            value[ins.dst.off as usize] = v;
+            known[ins.dst.off as usize] = k;
+        }
     }
 
-    /// Evaluates the combinational fabric with fully-known inputs.
-    /// Missing inputs are all-X.
+    /// Latches all registers based on the most recent evaluation. An X
+    /// enable merges hold and load pessimistically.
+    pub fn clock(&mut self) {
+        let tape = &*self.tape;
+        let base = tape.reg_block.start;
+        let (lv, lk) = &mut self.latch;
+        lv.copy_from_slice(&self.value[tape.reg_block.clone()]);
+        lk.copy_from_slice(&self.known[tape.reg_block.clone()]);
+        for r in &tape.regs {
+            let load_v = &self.value[r.next.range()];
+            let load_k = &self.known[r.next.range()];
+            let range = r.dst.range();
+            let local = range.start - base..range.end - base;
+            let (hold_v, hold_k) = (&mut lv[local.clone()], &mut lk[local]);
+            let enable = r.enable.map(|e| {
+                sim::is_ones(&self.known[e.range()], e.width)
+                    .then(|| !sim::is_zero(&self.value[e.range()]))
+            });
+            match enable {
+                None | Some(Some(true)) => {
+                    sim::write_resized(hold_v, load_v, r.dst.width);
+                    sim::write_resized(hold_k, load_k, r.dst.width);
+                }
+                Some(Some(false)) => {}
+                Some(None) => {
+                    for (i, (hv, hk)) in hold_v.iter_mut().zip(hold_k.iter_mut()).enumerate() {
+                        let (v, k) = (load_v.get(i).copied(), load_k.get(i).copied());
+                        let agree = *hk & k.unwrap_or(0) & !(*hv ^ v.unwrap_or(0));
+                        *hv &= agree;
+                        *hk = agree;
+                    }
+                }
+            }
+        }
+        self.value[tape.reg_block.clone()].copy_from_slice(lv);
+        self.known[tape.reg_block.clone()].copy_from_slice(lk);
+    }
+
+    /// Name-keyed adapter: evaluates with fully-known inputs. Missing
+    /// inputs are all-X.
     pub fn eval(&mut self, inputs: &HashMap<String, ApInt>) -> HashMap<String, XVal> {
         let four_state: HashMap<String, XVal> = inputs
             .iter()
@@ -204,89 +316,31 @@ impl Xsim {
         self.eval_x(&four_state)
     }
 
-    /// Evaluates the combinational fabric with four-state inputs and
-    /// returns the output-port values. Does **not** clock the registers.
+    /// Name-keyed adapter: evaluates with four-state inputs (missing
+    /// inputs all-X) and returns the output-port values. Does **not**
+    /// clock the registers.
     pub fn eval_x(&mut self, inputs: &HashMap<String, XVal>) -> HashMap<String, XVal> {
-        let port_values: Vec<XVal> = self
-            .module
-            .ports
-            .iter()
-            .map(|p| match inputs.get(&p.name) {
-                Some(v) if v.width() == p.width => v.clone(),
-                Some(v) => XVal {
-                    value: v.value.zext_or_trunc(p.width),
-                    known: v.known.zext_or_trunc(p.width),
-                },
-                None => XVal::all_x(p.width),
-            })
-            .collect();
-        for i in 0..self.module.nets.len() {
-            let net = &self.module.nets[i];
-            let width = net.width;
-            let value = match &net.driver {
-                Driver::Input { port } => port_values[*port].clone(),
-                Driver::Const(c) => XVal::known(c.clone()),
-                Driver::Reg { .. } => self.regs[i].clone().expect("register state"),
-                Driver::Rom { rom, index } => {
-                    let table = &self.module.roms[*rom];
-                    // The emitter guards out-of-range-capable reads, so a
-                    // known index always yields a known word (zero when
-                    // past the end or the ROM is empty).
-                    match self.values[index.0].as_known() {
-                        Some(idx) => {
-                            let word = idx
-                                .try_to_u64()
-                                .and_then(|v| usize::try_from(v).ok())
-                                .and_then(|k| table.contents.get(k))
-                                .cloned()
-                                .unwrap_or_else(|| ApInt::zero(table.width));
-                            XVal::known(word)
-                        }
-                        None => XVal::all_x(width),
-                    }
+        let tape = Arc::clone(&self.tape);
+        for (i, p) in tape.module().ports.iter().enumerate() {
+            if p.dir == PortDir::Input {
+                match inputs.get(&p.name) {
+                    Some(v) => self.set_input(i, v.value.limbs(), v.known.limbs()),
+                    None => self.set_input(i, &[0], &[0]),
                 }
-                Driver::Comb { op, args, lo } => {
-                    let a = |k: usize| &self.values[args[k].0];
-                    eval_comb(*op, a, *lo, width, &self.opts)
-                }
-            };
-            debug_assert_eq!(value.width(), width, "net {i} width mismatch");
-            self.values[i] = value;
-        }
-        self.module
-            .outputs
-            .iter()
-            .map(|&(port, net)| {
-                (
-                    self.module.ports[port].name.clone(),
-                    self.values[net.0].clone(),
-                )
-            })
-            .collect()
-    }
-
-    /// Latches all registers based on the most recent evaluation. An X
-    /// enable merges hold and load pessimistically.
-    pub fn clock(&mut self) {
-        let mut next_values: Vec<(usize, XVal)> = Vec::new();
-        for (i, net) in self.module.nets.iter().enumerate() {
-            if let Driver::Reg { next, enable, .. } = &net.driver {
-                let hold = self.regs[i].clone().expect("register state");
-                let load = self.values[next.0].clone();
-                let latched = match enable {
-                    None => load,
-                    Some(e) => match self.values[e.0].as_known() {
-                        Some(en) if en.is_zero() => hold,
-                        Some(_) => load,
-                        None => hold.merge(&load),
-                    },
-                };
-                next_values.push((i, latched));
             }
         }
-        for (i, v) in next_values {
-            self.regs[i] = Some(v);
-        }
+        self.evaluate();
+        tape.outputs()
+            .iter()
+            .map(|&(port, slot)| {
+                let (value, known) = self.slot_planes(slot);
+                let v = XVal {
+                    value: ApInt::from_limbs(value, slot.width),
+                    known: ApInt::from_limbs(known, slot.width),
+                };
+                (tape.module().ports[port].name.clone(), v)
+            })
+            .collect()
     }
 
     /// Convenience: `eval` then `clock`, returning the sampled outputs.
@@ -297,207 +351,223 @@ impl Xsim {
     }
 }
 
-/// Evaluates one combinational operator under IEEE-1800 semantics of the
-/// expression the emitter produces for it. Also used by the optimizer's
-/// abstract known-bits analysis (`crate::opt`), which evaluates the fabric
-/// once with all-X inputs/registers: any bit that comes out known there is
-/// known (with the same value) under every concrete stimulus, because each
-/// operator here is monotone under refinement of its inputs.
-pub(crate) fn eval_comb<'a>(
+/// A four-state operand: value plane, known plane, width.
+type Planes<'a> = (&'a [u64], &'a [u64], u32);
+
+/// One combinational operator on one-word four-state operands
+/// `(value, known, width)` under the IEEE-1800 semantics of the
+/// expression the emitter produces for it: `(value, known)` of the
+/// result. Every operator here is monotone under refinement of its
+/// inputs, which the optimizer's narrowing analysis relies on.
+#[inline(always)]
+fn eval_word(
     op: CombOp,
-    a: impl Fn(usize) -> &'a XVal,
+    (va, ka, aw): (u64, u64, u32),
+    (vb, kb, bw): (u64, u64, u32),
+    (vc, kc, _): (u64, u64, u32),
     lo: u32,
     width: u32,
     opts: &EmitOptions,
-) -> XVal {
-    // Arithmetic (and other whole-word) operators: any X in any operand
-    // X-poisons the entire result, per the LRM.
-    let lift2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> ApInt| match (
-        x.as_known(),
-        y.as_known(),
-    ) {
-        (Some(p), Some(q)) => XVal::known(f(p, q)),
-        _ => XVal::all_x(width),
-    };
-    // `/` and `%`: with the emitter's zero-divisor guard the expression is
-    // total and matches the ApInt (RISC-V) convention; unguarded, a known
-    // zero divisor X-poisons the result even though every input is known.
-    let div2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> ApInt| match (
-        x.as_known(),
-        y.as_known(),
-    ) {
-        (Some(p), Some(q)) => {
-            if q.is_zero() && !opts.guard_division {
-                XVal::all_x(width)
-            } else {
-                XVal::known(f(p, q))
-            }
-        }
-        _ => XVal::all_x(width),
-    };
-    let cmp2 = |x: &XVal, y: &XVal, f: &dyn Fn(&ApInt, &ApInt) -> bool| match (
-        x.as_known(),
-        y.as_known(),
-    ) {
-        (Some(p), Some(q)) => XVal::known(ApInt::from_bool(f(p, q))),
-        _ => XVal::all_x(1),
-    };
+) -> (u64, u64) {
+    let m = sim::mask(width);
+    let full = |k: u64, w: u32| k == sim::mask(w);
+    let both = full(ka, aw) && full(kb, bw);
+    let two = |a: u64, b: u64| interp::eval_word(op, (a, aw), (b, bw), vc, lo, width);
+    // Extends pad with known bits above the source width.
+    let pad = m & !sim::mask(aw);
     match op {
-        CombOp::Add => lift2(a(0), a(1), &|p, q| p.add(q)),
-        CombOp::Sub => lift2(a(0), a(1), &|p, q| p.sub(q)),
-        CombOp::Mul => lift2(a(0), a(1), &|p, q| p.mul(q)),
-        CombOp::DivU => div2(a(0), a(1), &|p, q| p.udiv(q)),
-        CombOp::DivS => div2(a(0), a(1), &|p, q| p.sdiv(q)),
-        CombOp::RemU => div2(a(0), a(1), &|p, q| p.urem(q)),
-        CombOp::RemS => div2(a(0), a(1), &|p, q| p.srem(q)),
-        CombOp::Shl => lift2(a(0), a(1), &|p, q| p.shl(q)),
-        CombOp::ShrU => lift2(a(0), a(1), &|p, q| p.lshr(q)),
-        CombOp::ShrS => lift2(a(0), a(1), &|p, q| p.ashr(q)),
-        CombOp::And => {
-            let (x, y) = (a(0), a(1));
-            // A known 0 on either side pins the bit regardless of the other.
-            let zero_x = x.known.and(&x.value.not());
-            let zero_y = y.known.and(&y.value.not());
-            let known = x.known.and(&y.known).or(&zero_x).or(&zero_y);
-            XVal {
-                value: x.value.and(&y.value),
-                known,
-            }
+        // Arithmetic and shifts: any X in any operand X-poisons the whole
+        // result, per the LRM.
+        CombOp::Add | CombOp::Sub | CombOp::Mul | CombOp::Shl | CombOp::ShrU | CombOp::ShrS
+            if both =>
+        {
+            (two(va, vb), m)
         }
-        CombOp::Or => {
-            let (x, y) = (a(0), a(1));
-            let one_x = x.known.and(&x.value);
-            let one_y = y.known.and(&y.value);
-            let known = x.known.and(&y.known).or(&one_x).or(&one_y);
-            XVal {
-                value: x.value.or(&y.value),
-                known,
-            }
+        // `/` and `%`: with the emitter's zero-divisor guard the
+        // expression is total and matches the RISC-V convention;
+        // unguarded, a known zero divisor X-poisons the result.
+        CombOp::DivU | CombOp::DivS | CombOp::RemU | CombOp::RemS
+            if both && (vb != 0 || opts.guard_division) =>
+        {
+            (two(va, vb), m)
         }
-        CombOp::Xor => {
-            let (x, y) = (a(0), a(1));
-            let known = x.known.and(&y.known);
-            XVal {
-                value: x.value.xor(&y.value).and(&known),
-                known,
-            }
+        CombOp::Eq | CombOp::Ne | CombOp::Ult | CombOp::Ule | CombOp::Slt | CombOp::Sle if both => {
+            (two(va, vb), m)
         }
-        CombOp::Not => {
-            let x = a(0);
-            XVal {
-                value: x.value.not().and(&x.known),
-                known: x.known.clone(),
-            }
+        // Emitted as a zero-filled shift: total, zeros past the top.
+        CombOp::ExtractDyn if opts.bounded_extract_dyn && both => (two(va, vb), m),
+        // Emitted as `base[off +: width]`: bits past the top are X (the
+        // known plane shifts in zeros), an unknown index poisons all.
+        CombOp::ExtractDyn if !opts.bounded_extract_dyn && full(kb, bw) => {
+            (two(va, vb), two(ka, vb))
         }
-        CombOp::Eq => cmp2(a(0), a(1), &|p, q| p == q),
-        CombOp::Ne => cmp2(a(0), a(1), &|p, q| p != q),
-        CombOp::Ult => cmp2(a(0), a(1), &|p, q| p.ult(q)),
-        CombOp::Ule => cmp2(a(0), a(1), &|p, q| p.ule(q)),
-        CombOp::Slt => cmp2(a(0), a(1), &|p, q| p.slt(q)),
-        CombOp::Sle => cmp2(a(0), a(1), &|p, q| p.sle(q)),
-        CombOp::Mux => match a(0).as_known() {
-            Some(c) if c.is_zero() => a(2).clone(),
-            Some(_) => a(1).clone(),
-            None => a(1).merge(a(2)),
-        },
-        CombOp::Concat => {
-            let (x, y) = (a(0), a(1));
-            XVal {
-                value: x.value.concat(&y.value),
-                known: x.known.concat(&y.known),
-            }
-        }
-        CombOp::Replicate => {
-            let x = a(0);
-            XVal {
-                value: x.value.replicate(lo),
-                known: x.known.replicate(lo),
-            }
-        }
-        CombOp::Extract => {
-            // `base[lo+width-1:lo]` — bits past the base are X in SV (the
-            // lint rejects such netlists; the interpreter zero-pads).
-            let x = a(0);
-            let bw = x.width();
-            let mut value = ApInt::zero(width);
-            let mut known = ApInt::zero(width);
-            for i in 0..width {
-                let src = u64::from(lo) + u64::from(i);
-                if src < u64::from(bw) {
-                    value.set_bit(i, x.value.bit(src as u32));
-                    known.set_bit(i, x.known.bit(src as u32));
-                }
-            }
-            XVal { value, known }
-        }
-        CombOp::ExtractDyn => {
-            let (x, off) = (a(0), a(1));
-            if opts.bounded_extract_dyn {
-                // Emitted as a zero-filled shift: total, zeros past the top.
-                match (x.as_known(), off.as_known()) {
-                    (Some(p), Some(q)) => XVal::known(p.lshr(q).zext_or_trunc(width)),
-                    _ => XVal::all_x(width),
-                }
+        CombOp::Add
+        | CombOp::Sub
+        | CombOp::Mul
+        | CombOp::Shl
+        | CombOp::ShrU
+        | CombOp::ShrS
+        | CombOp::DivU
+        | CombOp::DivS
+        | CombOp::RemU
+        | CombOp::RemS
+        | CombOp::Eq
+        | CombOp::Ne
+        | CombOp::Ult
+        | CombOp::Ule
+        | CombOp::Slt
+        | CombOp::Sle
+        | CombOp::ExtractDyn => (0, 0),
+        // A known 0 on either side pins the bit regardless of the other.
+        CombOp::And => (va & vb, (ka & kb) | (ka & !va) | (kb & !vb)),
+        CombOp::Or => (va | vb, (ka & kb) | (ka & va) | (kb & vb)),
+        CombOp::Xor => ((va ^ vb) & ka & kb, ka & kb),
+        CombOp::Not => (!va & ka, ka),
+        CombOp::Mux if full(ka, aw) => {
+            if va == 0 {
+                (vc, kc)
             } else {
-                // Emitted as `base[off +: width]`: out-of-range bits are X,
-                // an unknown index poisons everything.
-                match off.as_known() {
-                    None => XVal::all_x(width),
-                    Some(q) => {
-                        let bw = u64::from(x.width());
-                        let base_off = q.try_to_u64();
-                        let mut value = ApInt::zero(width);
-                        let mut known = ApInt::zero(width);
-                        for i in 0..width {
-                            let src = base_off.and_then(|o| o.checked_add(u64::from(i)));
-                            if let Some(s) = src.filter(|&s| s < bw) {
-                                value.set_bit(i, x.value.bit(s as u32));
-                                known.set_bit(i, x.known.bit(s as u32));
-                            }
-                        }
-                        XVal { value, known }
-                    }
-                }
+                (vb, kb)
             }
+        }
+        // Ambiguous select: bits where both arms are known and agree
+        // survive, everything else is X.
+        CombOp::Mux => {
+            let agree = kb & kc & !(vb ^ vc);
+            (vb & agree, agree)
+        }
+        // Wiring: the same structure on both planes. A static slice past
+        // the base reads X (the lint rejects such netlists; the
+        // interpreter zero-pads).
+        CombOp::Concat | CombOp::Replicate | CombOp::Extract | CombOp::Trunc => {
+            (two(va, vb), two(ka, kb))
+        }
+        CombOp::ZExt => (va, ka | pad),
+        // An unknown sign bit makes the replicated pad X.
+        CombOp::SExt if sim::bit(&[ka], aw.saturating_sub(1)) => (two(va, vb), ka | pad),
+        CombOp::SExt => (va, ka),
+    }
+}
+
+/// [`eval_word`] for operands or results of any width. `out` holds the
+/// result's value and known planes, `words(width)` words each.
+#[allow(clippy::too_many_arguments)]
+fn eval_wide(
+    op: CombOp,
+    (ov, ok): (&mut [u64], &mut [u64]),
+    width: u32,
+    a: Planes<'_>,
+    b: Planes<'_>,
+    c: Planes<'_>,
+    lo: u32,
+    opts: &EmitOptions,
+) {
+    let full = |(_, k, w): Planes<'_>| sim::is_ones(k, w);
+    let both = full(a) && full(b);
+    let two = |out: &mut [u64], x: &[u64], y: &[u64]| {
+        interp::eval_wide(op, out, width, (x, a.2), (y, b.2), (c.0, c.2), lo);
+    };
+    ov.fill(0);
+    ok.fill(0);
+    match op {
+        CombOp::Add | CombOp::Sub | CombOp::Mul | CombOp::Shl | CombOp::ShrU | CombOp::ShrS
+            if both =>
+        {
+            two(ov, a.0, b.0);
+            sim::fill_ones(ok, width);
+        }
+        CombOp::DivU | CombOp::DivS | CombOp::RemU | CombOp::RemS
+            if both && (!sim::is_zero(b.0) || opts.guard_division) =>
+        {
+            two(ov, a.0, b.0);
+            sim::fill_ones(ok, width);
+        }
+        CombOp::Eq | CombOp::Ne | CombOp::Ult | CombOp::Ule | CombOp::Slt | CombOp::Sle if both => {
+            two(ov, a.0, b.0);
+            sim::fill_ones(ok, width);
+        }
+        CombOp::ExtractDyn if opts.bounded_extract_dyn && both => {
+            two(ov, a.0, b.0);
+            sim::fill_ones(ok, width);
+        }
+        CombOp::ExtractDyn if !opts.bounded_extract_dyn && full(b) => {
+            two(ov, a.0, b.0);
+            two(ok, a.1, b.0);
+        }
+        CombOp::Add
+        | CombOp::Sub
+        | CombOp::Mul
+        | CombOp::Shl
+        | CombOp::ShrU
+        | CombOp::ShrS
+        | CombOp::DivU
+        | CombOp::DivS
+        | CombOp::RemU
+        | CombOp::RemS
+        | CombOp::Eq
+        | CombOp::Ne
+        | CombOp::Ult
+        | CombOp::Ule
+        | CombOp::Slt
+        | CombOp::Sle
+        | CombOp::ExtractDyn => {}
+        CombOp::And | CombOp::Or | CombOp::Xor | CombOp::Not | CombOp::Mux => {
+            let select = full(a).then(|| !sim::is_zero(a.0));
+            let at = |p: &[u64], i: usize| p.get(i).copied().unwrap_or(0);
+            for i in 0..ov.len() {
+                let (va, ka, vb, kb) = (at(a.0, i), at(a.1, i), at(b.0, i), at(b.1, i));
+                let (vc, kc) = (at(c.0, i), at(c.1, i));
+                (ov[i], ok[i]) = match (op, select) {
+                    (CombOp::And, _) => (va & vb, (ka & kb) | (ka & !va) | (kb & !vb)),
+                    (CombOp::Or, _) => (va | vb, (ka & kb) | (ka & va) | (kb & vb)),
+                    (CombOp::Xor, _) => ((va ^ vb) & ka & kb, ka & kb),
+                    (CombOp::Not, _) => (!va & ka, ka),
+                    (_, Some(true)) => (vb, kb),
+                    (_, Some(false)) => (vc, kc),
+                    (_, None) => {
+                        let agree = kb & kc & !(vb ^ vc);
+                        (vb & agree, agree)
+                    }
+                };
+            }
+            sim::mask_top(ov, width);
+            sim::mask_top(ok, width);
+        }
+        CombOp::Concat | CombOp::Replicate | CombOp::Extract | CombOp::Trunc => {
+            two(ov, a.0, b.0);
+            two(ok, a.1, b.1);
         }
         CombOp::ZExt => {
-            let x = a(0);
-            let sw = x.width();
-            if width == sw {
-                // Emitted as a plain alias.
-                x.clone()
-            } else {
-                let pad = ApInt::ones(width).shl_bits(sw);
-                XVal {
-                    value: x.value.zext(width),
-                    known: x.known.zext(width).or(&pad),
-                }
-            }
+            two(ov, a.0, b.0);
+            two(ok, a.1, b.1);
+            sim::set_ones(ok, a.2, width);
         }
         CombOp::SExt => {
-            let x = a(0);
-            let sw = x.width();
-            if width == sw {
-                x.clone()
-            } else if x.known.bit(sw - 1) {
-                let pad = ApInt::ones(width).shl_bits(sw);
-                XVal {
-                    value: x.value.sext(width),
-                    known: x.known.zext(width).or(&pad),
-                }
-            } else {
-                // Unknown sign bit: the replicated pad is X.
-                XVal {
-                    value: x.value.zext(width),
-                    known: x.known.zext(width),
-                }
-            }
-        }
-        CombOp::Trunc => {
-            let x = a(0);
-            XVal {
-                value: x.value.trunc(width),
-                known: x.known.trunc(width),
+            let sign_known = sim::bit(a.1, a.2.saturating_sub(1));
+            interp::eval_wide(
+                if sign_known {
+                    CombOp::SExt
+                } else {
+                    CombOp::ZExt
+                },
+                ov,
+                width,
+                (a.0, a.2),
+                (b.0, b.2),
+                (c.0, c.2),
+                lo,
+            );
+            interp::eval_wide(
+                CombOp::ZExt,
+                ok,
+                width,
+                (a.1, a.2),
+                (b.1, b.2),
+                (c.1, c.2),
+                lo,
+            );
+            if sign_known {
+                sim::set_ones(ok, a.2, width);
             }
         }
     }
@@ -565,8 +635,13 @@ impl DiffSim {
 
     /// Builds the pair modelling `opts`-style emission.
     pub fn with_options(module: Module, opts: EmitOptions) -> Self {
-        let interp = Simulator::new(module.clone());
-        let mut xsim = Xsim::with_options(module, opts);
+        Self::from_tape(Arc::new(NetTape::new(module)), opts)
+    }
+
+    /// Builds the pair over one compiled tape.
+    pub fn from_tape(tape: Arc<NetTape>, opts: EmitOptions) -> Self {
+        let interp = Simulator::from_tape(Arc::clone(&tape));
+        let mut xsim = Xsim::from_tape(tape, opts);
         xsim.reset();
         Self::from_parts(interp, xsim)
     }
@@ -577,8 +652,8 @@ impl DiffSim {
     /// oracle must flag it.
     pub fn from_parts(interp: Simulator, xsim: Xsim) -> Self {
         assert_eq!(
-            interp.module().nets.len(),
-            xsim.module().nets.len(),
+            interp.tape().net_count(),
+            xsim.tape().net_count(),
             "differential halves must have the same net count"
         );
         DiffSim {
@@ -598,8 +673,30 @@ impl DiffSim {
         &self.xsim
     }
 
-    /// Drives both simulators one cycle with the same fully-known inputs
-    /// and compares every net.
+    /// Drives input port `port` of both halves with the fully-known
+    /// `value`; it holds until driven again.
+    pub fn set_input(&mut self, port: usize, value: &[u64]) {
+        self.interp.set_input(port, value);
+        self.xsim.set_input_known(port, value);
+    }
+
+    /// Runs one cycle on the inputs driven so far (ports never driven are
+    /// zero on the two-valued side and X on the four-state side) and
+    /// compares every net.
+    ///
+    /// # Errors
+    ///
+    /// The first net (in definition order) whose fully-known four-state
+    /// value differs from the interpreter's.
+    pub fn advance(&mut self) -> Result<DiffCycle, Box<DiffMismatch>> {
+        self.interp.evaluate();
+        self.xsim.evaluate();
+        self.compare_and_clock()
+    }
+
+    /// Name-keyed adapter: drives both simulators one cycle with the same
+    /// fully-known inputs (missing inputs: zero and X) and compares every
+    /// net.
     ///
     /// # Errors
     ///
@@ -609,30 +706,38 @@ impl DiffSim {
         &mut self,
         inputs: &HashMap<String, ApInt>,
     ) -> Result<DiffCycle, Box<DiffMismatch>> {
-        let cycle = self.cycle;
         self.interp.eval(inputs);
-        let outputs = self.xsim.eval(inputs);
-        for (i, x) in self.xsim.net_values().iter().enumerate() {
-            let Some(known) = x.as_known() else { continue };
-            let expected = &self.interp.net_values()[i];
-            if known != expected {
+        self.xsim.eval(inputs);
+        self.compare_and_clock()
+    }
+
+    fn compare_and_clock(&mut self) -> Result<DiffCycle, Box<DiffMismatch>> {
+        let cycle = self.cycle;
+        let (itape, xtape) = (self.interp.tape(), self.xsim.tape());
+        let mut net_x_bits = 0u64;
+        for (i, (&is, &xs)) in itape.net_slots().iter().zip(xtape.net_slots()).enumerate() {
+            let (value, known) = self.xsim.slot_planes(xs);
+            if !sim::is_ones(known, xs.width) {
+                net_x_bits += u64::from(sim::x_bits(known, xs.width));
+                continue;
+            }
+            let expected = self.interp.slot_words(is);
+            if is.width != xs.width || value != expected {
                 let net = &self.xsim.module().nets[i];
                 return Err(Box::new(DiffMismatch {
                     cycle,
                     net: i,
                     name: net.name.clone(),
                     driver: driver_desc(&net.driver),
-                    interp: expected.clone(),
-                    xsim: known.clone(),
+                    interp: ApInt::from_limbs(expected, is.width),
+                    xsim: ApInt::from_limbs(value, xs.width),
                 }));
             }
         }
-        let output_x_bits = outputs.values().map(|v| u64::from(v.x_bits())).sum();
-        let net_x_bits = self
-            .xsim
-            .net_values()
+        let output_x_bits = xtape
+            .outputs()
             .iter()
-            .map(|v| u64::from(v.x_bits()))
+            .map(|&(_, slot)| u64::from(sim::x_bits(self.xsim.slot_planes(slot).1, slot.width)))
             .sum();
         self.interp.clock();
         self.xsim.clock();
@@ -962,11 +1067,12 @@ mod tests {
         // Sanity: NetId indexes align between interp values and xsim values.
         let m = binop_module(CombOp::Xor, 8, 8);
         let mut diff = DiffSim::new(m);
-        diff.step(&inputs(&[("a", 0xf0, 8), ("b", 0x0f, 8)])).unwrap();
+        diff.step(&inputs(&[("a", 0xf0, 8), ("b", 0x0f, 8)]))
+            .unwrap();
         assert_eq!(
             diff.xsim().net(NetId(2).0).as_known().unwrap().to_u64(),
             0xff
         );
-        assert_eq!(diff.interp().net_values()[2].to_u64(), 0xff);
+        assert_eq!(diff.interp().net_value(2).to_u64(), 0xff);
     }
 }

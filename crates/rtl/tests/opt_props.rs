@@ -15,9 +15,10 @@ use bits::ApInt;
 use proptest::prelude::*;
 use rtl::netlist::RomData;
 use rtl::{
-    lint_module, optimize, run_pass, verify_equivalent, CombOp, Driver, EmitOptions, Module,
-    NetId, OptLevel, Pass, PortDir,
+    lint_module, optimize, reference, run_pass, verify_equivalent, CombOp, Driver, EmitOptions,
+    Module, NetId, OptLevel, Pass, PortDir, Simulator, XVal, Xsim,
 };
+use std::collections::HashMap;
 
 /// SplitMix64 — the same generator family the optimizer's own
 /// `verify_equivalent` stimulus uses, kept local so the netlist shape for a
@@ -95,19 +96,32 @@ impl Pool {
 /// earlier-index nets, every width rule from `lint_module` is respected,
 /// and each output port is driven exactly once.
 fn random_module(seed: u64) -> Module {
+    generate(seed, false)
+}
+
+/// [`random_module`]'s wide variant: inputs and constants of 1–130 bits
+/// (so nets of 65–130 bits and wider concatenations are common), zero
+/// divisors, dynamic extracts whose offset runs past the top, and ROM
+/// indices far past the table.
+fn random_wide_module(seed: u64) -> Module {
+    generate(seed, true)
+}
+
+fn generate(seed: u64, wide: bool) -> Module {
     let mut g = Gen::new(seed);
     let mut m = Module::new("prop");
     let mut pool = Pool { nets: Vec::new() };
+    let max_width = if wide { 130 } else { 24 };
 
     let n_inputs = 1 + g.below(3) as usize;
     for i in 0..n_inputs {
-        let w = 1 + g.below(24) as u32;
+        let w = 1 + g.below(max_width) as u32;
         let port = m.add_port(&format!("in{i}"), PortDir::Input, w);
         let id = m.add_net(Driver::Input { port }, w, &format!("in{i}"));
         pool.push(id, w);
     }
     for i in 0..2 {
-        let w = 1 + g.below(24) as u32;
+        let w = 1 + g.below(max_width) as u32;
         let c = g.apint(w);
         let id = m.add_net(Driver::Const(c), w, &format!("c{i}"));
         pool.push(id, w);
@@ -139,7 +153,13 @@ fn random_module(seed: u64) -> Module {
                 ];
                 let op = ops[g.below(ops.len() as u64) as usize];
                 let (a, w) = pool.any(&mut g);
-                let b = pool.of_width(&mut m, &mut g, w);
+                let b = if wide && matches!(op, CombOp::DivU | CombOp::DivS | CombOp::RemU | CombOp::RemS)
+                    && g.below(3) == 0
+                {
+                    m.add_net(Driver::Const(ApInt::zero(w)), w, "")
+                } else {
+                    pool.of_width(&mut m, &mut g, w)
+                };
                 let id = m.add_net(
                     Driver::Comb {
                         op,
@@ -169,7 +189,13 @@ fn random_module(seed: u64) -> Module {
                 let ops = [CombOp::Shl, CombOp::ShrU, CombOp::ShrS];
                 let op = ops[g.below(3) as usize];
                 let (a, w) = pool.any(&mut g);
-                let (amt, _) = pool.any(&mut g);
+                let amt = if wide && g.below(2) == 0 {
+                    // An in-range amount: random wide values rarely are.
+                    let at = g.below(u64::from(w));
+                    m.add_net(Driver::Const(ApInt::from_u64(at, 8)), 8, "")
+                } else {
+                    pool.any(&mut g).0
+                };
                 let id = m.add_net(
                     Driver::Comb {
                         op,
@@ -255,7 +281,13 @@ fn random_module(seed: u64) -> Module {
                 // ExtractDyn: result width <= base width.
                 let (a, w) = pool.any(&mut g);
                 let tw = 1 + g.below(u64::from(w)) as u32;
-                let (off, _) = pool.any(&mut g);
+                let off = if wide && g.below(2) == 0 {
+                    // An offset at or just past the top of the base.
+                    let at = u64::from(w - tw) + g.below(8);
+                    m.add_net(Driver::Const(ApInt::from_u64(at, 9)), 9, "")
+                } else {
+                    pool.any(&mut g).0
+                };
                 let id = m.add_net(
                     Driver::Comb {
                         op: CombOp::ExtractDyn,
@@ -347,8 +379,170 @@ fn random_module(seed: u64) -> Module {
     m
 }
 
+/// Runs `m` for `cycles` cycles on the tape interpreters and on the
+/// reference `ApInt` walkers side by side — the two-valued pair on known
+/// stimulus, the four-state pair under `opts` on the same stimulus with
+/// pseudo-random bits knocked to X every other cycle — and checks that
+/// every net agrees in every cycle.
+fn tape_matches_reference(m: &Module, opts: EmitOptions, seed: u64, cycles: u32) -> Result<(), String> {
+    let mut g = Gen::new(seed ^ 0x5eed);
+    let mut tape2 = Simulator::new(m.clone());
+    let mut ref2 = reference::Simulator::new(m.clone());
+    let mut tape4 = Xsim::with_options(m.clone(), opts);
+    let mut ref4 = reference::Xsim::with_options(m.clone(), opts);
+    // Half the runs start from a completed reset, half from power-up X.
+    if seed & 1 == 0 {
+        tape4.reset();
+        ref4.reset();
+    }
+    for cycle in 0..cycles {
+        let mut known = HashMap::new();
+        let mut four = HashMap::new();
+        for p in m.ports.iter().filter(|p| p.dir == PortDir::Input) {
+            let value = g.apint(p.width);
+            let mask = if cycle % 2 == 1 {
+                g.apint(p.width)
+            } else {
+                ApInt::ones(p.width)
+            };
+            four.insert(p.name.clone(), XVal::from_planes(value.clone(), mask));
+            known.insert(p.name.clone(), value);
+        }
+        tape2.eval(&known);
+        ref2.eval(&known);
+        tape4.eval_x(&four);
+        ref4.eval_x(&four);
+        for (i, net) in m.nets.iter().enumerate() {
+            let (t, r) = (tape2.net_value(i), &ref2.net_values()[i]);
+            if t != *r {
+                return Err(format!(
+                    "cycle {cycle}: two-valued net {i} ({:?}, {} bits): tape={t:x} reference={r:x}",
+                    net.driver, net.width
+                ));
+            }
+            let (t, r) = (tape4.net(i), &ref4.net_values()[i]);
+            if t != *r {
+                return Err(format!(
+                    "cycle {cycle}: four-state net {i} ({:?}, {} bits): tape={t} reference={r}",
+                    net.driver, net.width
+                ));
+            }
+        }
+        tape2.clock();
+        ref2.clock();
+        tape4.clock();
+        ref4.clock();
+    }
+    Ok(())
+}
+
+/// Over a fixed run of seeds the wide generator emits every operator,
+/// nets of 65–130 bits and above 128, zero divisors, dynamic extracts past the top,
+/// out-of-range ROM indices and enabled registers.
+#[test]
+fn wide_generator_covers_every_operator_and_corner() {
+    let all = [
+        CombOp::Add, CombOp::Sub, CombOp::Mul, CombOp::DivU, CombOp::DivS, CombOp::RemU,
+        CombOp::RemS, CombOp::And, CombOp::Or, CombOp::Xor, CombOp::Not, CombOp::Shl,
+        CombOp::ShrU, CombOp::ShrS, CombOp::Eq, CombOp::Ne, CombOp::Ult, CombOp::Ule,
+        CombOp::Slt, CombOp::Sle, CombOp::Mux, CombOp::Concat, CombOp::Replicate,
+        CombOp::Extract, CombOp::ExtractDyn, CombOp::ZExt, CombOp::SExt, CombOp::Trunc,
+    ];
+    let mut seen = Vec::new();
+    let (mut wide_nets, mut slice_nets, mut zero_div, mut dyn_past_top) = (0, 0, 0, 0);
+    let (mut big_rom_index, mut enables) = (0, 0);
+    for seed in 0..64 {
+        let m = random_wide_module(seed);
+        let konst = |id: NetId| match &m.nets[id.0].driver {
+            Driver::Const(c) => Some(c.clone()),
+            _ => None,
+        };
+        for net in &m.nets {
+            if (65..=130).contains(&net.width) {
+                wide_nets += 1;
+            }
+            if net.width > 128 {
+                slice_nets += 1;
+            }
+            match &net.driver {
+                Driver::Comb { op, args, .. } => {
+                    if !seen.contains(op) {
+                        seen.push(*op);
+                    }
+                    let divisor_zero = konst(args[args.len() - 1]).is_some_and(|c| c.is_zero());
+                    if matches!(op, CombOp::DivU | CombOp::DivS | CombOp::RemU | CombOp::RemS)
+                        && divisor_zero
+                    {
+                        zero_div += 1;
+                    }
+                    if *op == CombOp::ExtractDyn {
+                        let base = m.nets[args[0].0].width;
+                        let past = konst(args[1])
+                            .is_some_and(|c| c.to_u64() + u64::from(net.width) > u64::from(base));
+                        dyn_past_top += u32::from(past);
+                    }
+                }
+                Driver::Rom { index, .. } if m.nets[index.0].width > 64 => big_rom_index += 1,
+                Driver::Reg { enable: Some(_), .. } => enables += 1,
+                _ => {}
+            }
+        }
+    }
+    let missing: Vec<_> = all.iter().filter(|op| !seen.contains(op)).collect();
+    assert!(missing.is_empty(), "operators never generated: {missing:?}");
+    for (what, count) in [
+        ("nets of 65-130 bits", wide_nets),
+        ("nets above 128 bits", slice_nets),
+        ("zero divisors", zero_div),
+        ("dynamic extracts past the top", dyn_past_top),
+        ("ROM indices wider than 64 bits", big_rom_index),
+        ("enabled registers", enables),
+    ] {
+        assert!(count > 0, "no {what} in 64 wide modules");
+    }
+}
+
+/// Both emission semantics the four-state side models.
+const EMIT_OPTIONS: [EmitOptions; 2] = [
+    EmitOptions {
+        guard_division: true,
+        bounded_extract_dyn: true,
+    },
+    EmitOptions {
+        guard_division: false,
+        bounded_extract_dyn: false,
+    },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The tape interpreters equal the reference walkers on every net in
+    /// every cycle, on narrow and wide random netlists, under both
+    /// emission semantics.
+    #[test]
+    fn tape_interpreters_match_the_reference_walkers(seed: u64) {
+        for (shape, m) in [("narrow", random_module(seed)), ("wide", random_wide_module(seed))] {
+            for opts in EMIT_OPTIONS {
+                if let Err(e) = tape_matches_reference(&m, opts, seed, 16) {
+                    return Err(TestCaseError::fail(format!("seed {seed} ({shape}, {opts:?}): {e}")));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The wide generator, like the narrow one, only emits lint-clean
+    /// modules.
+    #[test]
+    fn wide_modules_are_lint_clean(seed: u64) {
+        let m = random_wide_module(seed);
+        let lint = lint_module(&m);
+        prop_assert!(lint.is_ok(), "seed {seed}: generator emitted lint issues: {:?}", lint.err());
+    }
 
     /// The generator itself only emits modules the lint accepts — the
     /// properties below compare post-pass lint against this baseline, so
